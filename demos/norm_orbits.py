@@ -6,7 +6,6 @@ so a short seed scan plus orbit stepping replaces unbounded search.
 
 from pellsum import (
     NormFormProblem,
-    class_representatives,
     coordinate_set,
     solution_classes,
     unit_power_form,
@@ -42,6 +41,6 @@ print()
 
 # Each coordinate along a class is c1*eps^a + c2*conj(eps)^a, which is how
 # the coordinate sets connect back to linear recurrences.
-form = unit_power_form(problem, class_representatives(problem)[0], 1)
+form = unit_power_form(problem, sol.orbits[0], 1)
 print(f"coordinate 1 closed form: c1 = {form.c1}, eps = {form.eps}")
 print("values:", [form.evaluate(a) for a in range(5)])

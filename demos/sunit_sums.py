@@ -15,7 +15,6 @@ from pellsum import (
     subsums_nonvanishing,
     sunit_from_rational,
     sunit_sum_search,
-    sunit_tuple,
 )
 
 # enumeration: one prime, tiny exponent box
@@ -35,9 +34,9 @@ for entries in ((5, -5, 2), (1, 2, 4)):
     label = "ok" if cert.ok else f"vanishing subsum at indices {cert.vanishing}"
     print(f"{entries}: {label}")
 
-t = sunit_tuple((Fraction(1, 2), Fraction(3, 2), 9))
-print(f"tuple {tuple(str(e) for e in t.entries)} sums to {t.total}, "
-      f"certificate ok: {t.certificate.ok}")
+entries = (Fraction(1, 2), Fraction(3, 2), Fraction(9))
+print(f"tuple {tuple(str(e) for e in entries)} sums to {sum(entries)}, "
+      f"certificate ok: {subsums_nonvanishing(entries).ok}")
 
 print()
 

@@ -4,8 +4,7 @@ Every subcommand prints a short text summary by default, or the full
 structured report with --format structured. --out writes the structured
 report to a file either way. Structured reports are canonical: keys
 sorted, UTF-8, newline-terminated, and free of anything volatile (wall
-time, shard count, output path), so reruns and different shard counts
-produce byte-identical documents.
+time, output path), so reruns produce byte-identical documents.
 
 Exit codes: 0 on success, 1 on usage or domain errors, 2 when an internal
 cross-check fails.
@@ -83,10 +82,6 @@ def _csv_ints(text: str) -> list[int]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _rat(value: Fraction) -> str:
-    return str(value)
-
-
 def _rec_config(rec: LinearRecurrence) -> dict:
     return {"coeffs": list(rec.coeffs), "initials": list(rec.initials)}
 
@@ -147,8 +142,8 @@ def _search_json(report) -> dict:
     else:
         out["hits"] = [
             {
-                "entries": [_rat(e) for e in hit.entries],
-                "total": _rat(hit.total),
+                "entries": [str(e) for e in hit.entries],
+                "total": str(hit.total),
                 "memberships": _membership_json(hit.memberships),
                 "certificate": {
                     "ok": hit.certificate.ok,
@@ -176,8 +171,8 @@ def _search_summary(report) -> tuple[list[str], list[str]]:
         if report.kind == "pair-sum":
             lines.append(f"  U_{hit.n1} + U_{hit.n2} = {hit.value} in {where}")
         else:
-            entries = " + ".join(_rat(e) for e in hit.entries)
-            lines.append(f"  {entries} = {_rat(hit.total)} in {where}")
+            entries = " + ".join(str(e) for e in hit.entries)
+            lines.append(f"  {entries} = {hit.total} in {where}")
     if len(report.hits) > 20:
         lines.append(f"  ... {len(report.hits) - 20} more")
     half, full = report.stabilization
@@ -191,10 +186,7 @@ def _search_summary(report) -> tuple[list[str], list[str]]:
             lines.append(f"finiteness hypotheses {verdict}")
         elif report.hypotheses_note:
             lines.append(report.hypotheses_note)
-    volatile = [
-        f"wall time {report.wall_time:.3f}s across {report.shard_count} shard(s)"
-    ]
-    return lines, volatile
+    return lines, [f"wall time {report.wall_time:.3f}s"]
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -295,18 +287,19 @@ def _cmd_recur(args):
 def _cmd_binet(args):
     rec = LinearRecurrence.from_literal(args.rec)
     form = binet(rec)
+    first_terms = [form.term(n) for n in range(11)]
     config = {"subcommand": "binet", "rec": _rec_config(rec)}
     results = {
         "discriminant": form.discriminant,
         "roots": [str(root) for root in form.roots],
         "coefficients": [str(coeff) for coeff in form.coeffs],
-        "first_terms": [form.term(n) for n in range(11)],
+        "first_terms": first_terms,
     }
     lines = [
         f"discriminant {form.discriminant}",
         f"roots {form.roots[0]} and {form.roots[1]}",
         f"U_n = ({form.coeffs[0]}) * alpha^n + ({form.coeffs[1]}) * beta^n",
-        "first terms: " + ", ".join(str(form.term(n)) for n in range(11)),
+        "first terms: " + ", ".join(map(str, first_terms)),
     ]
     return config, results, lines, []
 
@@ -391,17 +384,18 @@ def _cmd_bound(args):
     degrees = _csv_ints(args.degrees)
     value = schlickewei_bound(args.s, degrees, args.field_degree)
     digits = digit_count(value)
+    shown = describe_bound(value)
     config = {
         "subcommand": "bound",
         "s": args.s,
         "degrees": degrees,
         "field_degree": args.field_degree,
     }
-    results = {"digits": digits, "value": describe_bound(value)}
+    results = {"digits": digits, "value": shown}
     lines = [
         f"bound for {args.s} variable(s), degrees {degrees}, "
         f"field degree {args.field_degree}:",
-        f"  {describe_bound(value)}" + (f" ({digits} digits)" if digits <= 10**4 else ""),
+        f"  {shown}" + (f" ({digits} digits)" if digits <= 10**4 else ""),
     ]
     return config, results, lines, []
 

@@ -110,9 +110,6 @@ class SolutionOrbit:
                 x, y = self.step((x, y))
         return sorted(seen, key=lambda p: (p[1], p[0]))
 
-    def sign_variants(self, pair: tuple[int, int] | None = None) -> tuple[tuple[int, int], ...]:
-        return sign_variants(self.representative if pair is None else pair)
-
     @property
     def sign_class(self) -> tuple[tuple[int, int], ...]:
         """The signed solutions the representative stands for."""
@@ -126,9 +123,6 @@ class NormFormSolutions:
     problem: NormFormProblem
     orbits: tuple[SolutionOrbit, ...]
     scan_bound: int
-
-    def representatives(self) -> list[tuple[int, int]]:
-        return [orbit.representative for orbit in self.orbits]
 
 
 def solution_classes(problem: NormFormProblem) -> NormFormSolutions:
@@ -200,16 +194,6 @@ def solution_classes(problem: NormFormProblem) -> NormFormSolutions:
         )
     orbits.sort(key=lambda o: (o.representative[1], o.representative[0]))
     return NormFormSolutions(problem, tuple(orbits), ylim)
-
-
-def class_representatives(problem: NormFormProblem) -> list[SolutionOrbit]:
-    """The solution classes, ordered by representative (y, x). Empty when the
-    equation has no integral solutions."""
-    return list(solution_classes(problem).orbits)
-
-
-def orbit_elements(orbit: SolutionOrbit, bound: int, coord: int = 1) -> list[tuple[int, int]]:
-    return orbit.elements(bound, coord)
 
 
 def coordinate_set(

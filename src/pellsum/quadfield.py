@@ -217,11 +217,3 @@ def _parts(v) -> tuple[Fraction, Fraction, int | None]:
     if isinstance(v, (int, Fraction)):
         return Fraction(v), Fraction(0), None
     raise TypeError(f"expected a number, got {type(v).__name__}")
-
-
-def as_fraction(v) -> Fraction:
-    """Collapse a rational-valued element to a Fraction."""
-    x, y, _ = _parts(v)
-    if y != 0:
-        raise ValueError(f"{v} has a nonzero irrational part")
-    return x

@@ -331,12 +331,6 @@ class DependenceVerdict:
     def independent(self) -> bool:
         return not self.dependent
 
-    def describe(self) -> str:
-        if self.dependent:
-            p, q = self.witness
-            return f"dependent: alpha^{p} * beta^{q} = 1"
-        return f"independent up to exponent {self.bound}"
-
 
 def _abs_norm(v) -> Fraction:
     # both embeddings multiplied; for a rational that is just the square

@@ -10,7 +10,6 @@ falsifiable evidence.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,35 +32,12 @@ from .recurrences import (
 from .sunits import SPrimeSet, SubsumCertificate, enumerate_sunits, subsums_nonvanishing
 
 
-def resolve_shard_count(requested: int | None = None) -> int:
-    """Shard count: explicit argument, then PELLSUM_SHARDS, then cpu count.
+def resolve_shard_count() -> int:
+    """Always 1: every search runs in one pass in this process.
 
-    Sharding never changes results (shards merge by sorting), only how the
-    work is partitioned.
+    Kept only for the benchmark's environment probe, which prints it.
     """
-    if requested is None:
-        env = os.environ.get("PELLSUM_SHARDS")
-        if env is not None and env.strip():
-            try:
-                requested = int(env)
-            except ValueError:
-                raise ValueError(f"PELLSUM_SHARDS must be an integer, got {env!r}") from None
-    if requested is None:
-        requested = os.cpu_count() or 1
-    if requested < 1:
-        raise ValueError("shard count must be >= 1")
-    return requested
-
-
-def _shard_ranges(n_items: int, shards: int) -> list[range]:
-    shards = max(1, min(shards, n_items)) if n_items else 1
-    base, extra = divmod(n_items, shards)
-    ranges, start = [], 0
-    for i in range(shards):
-        size = base + (1 if i < extra else 0)
-        ranges.append(range(start, start + size))
-        start += size
-    return ranges
+    return 1
 
 
 # -- membership index -------------------------------------------------------
@@ -194,7 +170,6 @@ class SearchReport:
     hypotheses: RecurrenceHypotheses | None
     hypotheses_note: str | None
     stabilization: tuple[int, int]
-    shard_count: int
     wall_time: float
 
     @property
@@ -208,39 +183,29 @@ def pair_sum_search(
     problem: NormFormProblem,
     nbound: int,
     coordbound: int,
-    shards: int | None = None,
 ) -> SearchReport:
     """All pairs n1 <= n2 <= nbound with U_{n1} + U_{n2} in X1 or X2 (values
     materialized up to coordbound).
 
     Membership uses the nontrivial positive-value view of the coordinate
-    sets, so only sums >= 1 can hit. Work shards by n1 range; shard results
-    merge by sorting, so the shard count never changes the report.
+    sets, so only sums >= 1 can hit. Hits come out ordered by (n1, n2).
     """
     if nbound < 1 or coordbound < 1:
         raise ValueError("bounds must be >= 1")
     start = time.perf_counter()
-    shard_count = resolve_shard_count(shards)
     terms = terms_up_to(rec, nbound)
     index = coordinate_index(problem, coordbound)
 
-    def run_shard(n1_range: range) -> list[PairHit]:
-        out = []
-        for n1 in n1_range:
-            u1 = terms[n1]
-            for n2 in range(n1, nbound + 1):
-                s = u1 + terms[n2]
-                if s < 1:
-                    continue
-                hits_in = _memberships(index, s)
-                if hits_in:
-                    out.append(PairHit(n1, n2, s, hits_in))
-        return out
-
     collected: list[PairHit] = []
-    for rng in _shard_ranges(nbound + 1, shard_count):
-        collected.extend(run_shard(rng))
-    collected.sort(key=lambda h: (h.n1, h.n2))
+    for n1 in range(nbound + 1):
+        u1 = terms[n1]
+        for n2 in range(n1, nbound + 1):
+            s = u1 + terms[n2]
+            if s < 1:
+                continue
+            hits_in = _memberships(index, s)
+            if hits_in:
+                collected.append(PairHit(n1, n2, s, hits_in))
 
     half = nbound // 2
     at_half = sum(1 for h in collected if h.n2 <= half)
@@ -258,7 +223,6 @@ def pair_sum_search(
         hypotheses=hypotheses,
         hypotheses_note=note,
         stabilization=(at_half, len(collected)),
-        shard_count=shard_count,
         wall_time=time.perf_counter() - start,
     )
 
@@ -272,20 +236,18 @@ def sunit_sum_search(
     expbound: int,
     problem: NormFormProblem,
     coordbound: int,
-    shards: int | None = None,
 ) -> SearchReport:
     """All size-t multisets of S-units (every |b_i| <= expbound) whose sum
     lies in X1 or X2 and whose nonempty subsums all stay nonzero.
 
     Hits record the certificate; entries are reported in ascending value
-    order. Shards split on the first unit of the multiset.
+    order, hits by (total, entries).
     """
     if not 1 <= tuple_size <= 4:
         raise ValueError("tuple size must be between 1 and 4")
     if coordbound < 1:
         raise ValueError("coordinate bound must be >= 1")
     start = time.perf_counter()
-    shard_count = resolve_shard_count(shards)
     units = list(enumerate_sunits(basis, expbound))
     values = [u.value for u in units]
     index = coordinate_index(problem, coordbound)
@@ -293,27 +255,19 @@ def sunit_sum_search(
         i for i, u in enumerate(units) if all(abs(b) <= expbound // 2 for b in u.exponents)
     }
 
-    def run_shard(first_range: range) -> list[tuple]:
-        out = []
-        for i in first_range:
-            for rest in combinations_with_replacement(range(i, len(units)), tuple_size - 1):
-                picked = (i, *rest)
-                total = sum((values[k] for k in picked), Fraction(0))
-                if total < 1:
-                    continue
-                hits_in = _memberships(index, total)
-                if not hits_in:
-                    continue
-                entry_vals = tuple(sorted(values[k] for k in picked))
-                cert = subsums_nonvanishing(entry_vals)
-                if cert.ok:
-                    in_half = all(k in half_box for k in picked)
-                    out.append((SUnitHit(entry_vals, total, hits_in, cert), in_half))
-        return out
-
     collected: list[tuple] = []
-    for rng in _shard_ranges(len(units), shard_count):
-        collected.extend(run_shard(rng))
+    for picked in combinations_with_replacement(range(len(units)), tuple_size):
+        total = sum((values[k] for k in picked), Fraction(0))
+        if total < 1:
+            continue
+        hits_in = _memberships(index, total)
+        if not hits_in:
+            continue
+        entry_vals = tuple(sorted(values[k] for k in picked))
+        cert = subsums_nonvanishing(entry_vals)
+        if cert.ok:
+            in_half = all(k in half_box for k in picked)
+            collected.append((SUnitHit(entry_vals, total, hits_in, cert), in_half))
     collected.sort(key=lambda pair: (pair[0].total, pair[0].entries))
     at_half = sum(1 for _, in_half in collected if in_half)
     hits = tuple(h for h, _ in collected)
@@ -330,7 +284,6 @@ def sunit_sum_search(
         hypotheses=None,
         hypotheses_note=None,
         stabilization=(at_half, len(hits)),
-        shard_count=shard_count,
         wall_time=time.perf_counter() - start,
     )
 

@@ -1,8 +1,8 @@
 """Rational S-units (signed smooth numbers) and subsum certificates.
 
 An S-unit over the primes P_1 < ... < P_l is sign * prod P_i^(b_i) with
-integer exponents of either sign. Enumeration order is deterministic so
-searches shard reproducibly.
+integer exponents of either sign. Enumeration order is deterministic, so
+searches over the enumeration report in a fixed order.
 """
 
 from __future__ import annotations
@@ -14,11 +14,22 @@ from typing import Iterator
 
 from .errors import TupleTooLargeError
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to every base up to 41
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for n < 3.3e24, far past desk scale."""
+    """Deterministic Miller-Rabin over the primes up to 41.
+
+    Exact for n < psi_13 = 3317044064679887385961981 (about 3.3e24); raises
+    ValueError at or above it rather than risk calling a composite prime.
+    """
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(
+            f"{n} is too large for the deterministic primality test"
+            f" (exact below {_MR_EXACT_BELOW})"
+        )
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -83,24 +94,16 @@ class SUnit:
         return v
 
 
-def enumerate_sunits(
-    basis: SPrimeSet,
-    expbound: int,
-    positive_only: bool = False,
-    nonnegative_only: bool = False,
-) -> Iterator[SUnit]:
+def enumerate_sunits(basis: SPrimeSet, expbound: int) -> Iterator[SUnit]:
     """All S-units with every |b_i| <= expbound, in a fixed order.
 
     Order: exponent vectors lexicographically (from -expbound up), sign +1
-    before -1. positive_only drops the negatives; nonnegative_only restricts
-    exponents to b_i >= 0 (some arguments only need that half).
+    before -1.
     """
     if expbound < 0:
         raise ValueError("exponent bound must be >= 0")
-    low = 0 if nonnegative_only else -expbound
-    signs = (1,) if positive_only else (1, -1)
-    for exps in product(range(low, expbound + 1), repeat=len(basis)):
-        for sign in signs:
+    for exps in product(range(-expbound, expbound + 1), repeat=len(basis)):
+        for sign in (1, -1):
             yield SUnit(sign, exps, basis)
 
 
@@ -161,17 +164,3 @@ def subsums_nonvanishing(entries) -> SubsumCertificate:
 
     witness = scan(0, Fraction(0), ())
     return SubsumCertificate(witness is None, witness, t)
-
-
-@dataclass(frozen=True)
-class SUnitTuple:
-    """A candidate (w_1, ..., w_t) with its sum and subsum certificate."""
-
-    entries: tuple[Fraction, ...]
-    total: Fraction
-    certificate: SubsumCertificate
-
-
-def sunit_tuple(entries) -> SUnitTuple:
-    values = tuple(Fraction(w) for w in entries)
-    return SUnitTuple(values, sum(values, Fraction(0)), subsums_nonvanishing(values))

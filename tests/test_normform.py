@@ -6,10 +6,8 @@ import pytest
 from pellsum.errors import InvariantViolationError, NotSquarefreeError
 from pellsum.normform import (
     NormFormProblem,
-    class_representatives,
     coordinate_set,
     inv_step,
-    orbit_elements,
     sign_variants,
     solution_classes,
     solutions_within,
@@ -59,7 +57,7 @@ def test_step_and_inverse_are_inverse_maps():
 
 
 def test_single_class_for_13_4():
-    orbits = class_representatives(NormFormProblem(13, 4))
+    orbits = solution_classes(NormFormProblem(13, 4)).orbits
     assert len(orbits) == 1
     orbit = orbits[0]
     assert orbit.representative == (11, 3)
@@ -70,7 +68,7 @@ def test_single_class_for_13_4():
 
 def test_mixed_parity_orbit_uses_cubed_automorph():
     # x = y (mod 2) fails for (1, 0), so stepping needs the integral cube
-    orbits = class_representatives(NormFormProblem(13, 1))
+    orbits = solution_classes(NormFormProblem(13, 1)).orbits
     assert len(orbits) == 1
     assert orbits[0].automorph == (1298, 360)
     xs = coordinate_set(NormFormProblem(13, 1), 1, 10**7, include_trivial=True)
@@ -79,7 +77,7 @@ def test_mixed_parity_orbit_uses_cubed_automorph():
 
 def test_no_solutions_gives_no_classes():
     problem = NormFormProblem(5, 3)
-    assert class_representatives(problem) == []
+    assert solution_classes(problem).orbits == ()
     assert coordinate_set(problem, 1, 10**6) == []
     assert solutions_within(problem, 10**6) == []
 
@@ -129,7 +127,7 @@ def test_orbits_match_brute_force_boxes():
 
 
 def test_elements_are_sorted_and_closed_under_stepping():
-    orbit = class_representatives(NormFormProblem(13, 4))[0]
+    orbit = solution_classes(NormFormProblem(13, 4)).orbits[0]
     elems = orbit.elements(2 * 10**6)
     assert elems == sorted(elems, key=lambda p: (p[1], p[0]))
     for pair in elems:
@@ -137,13 +135,12 @@ def test_elements_are_sorted_and_closed_under_stepping():
         nxt = orbit.step(pair)
         if nxt[0] <= 2 * 10**6:
             assert nxt in elems
-    assert orbit_elements(orbit, 2 * 10**6) == elems
 
 
 def test_unit_power_form_matches_orbit_iteration():
     for d, m in ((13, 4), (2, -1), (5, 4)):
         problem = NormFormProblem(d, m)
-        for orbit in class_representatives(problem):
+        for orbit in solution_classes(problem).orbits:
             for coord in (1, 2):
                 form = unit_power_form(problem, orbit, coord)
                 pair = orbit.representative
@@ -154,30 +151,29 @@ def test_unit_power_form_matches_orbit_iteration():
 
 def test_unit_power_form_shape():
     problem = NormFormProblem(13, 4)
-    orbit = class_representatives(problem)[0]
+    orbit = solution_classes(problem).orbits[0]
     form = unit_power_form(problem, orbit, 1)
     assert form.coordinate == 1
     assert form.c2 == form.c1.conjugate()
     assert form.eps.norm() == 1
     assert form.evaluate(0) == 11 and form.evaluate(1) == 119
-    other = class_representatives(NormFormProblem(5, 4))[0]
+    other = solution_classes(NormFormProblem(5, 4)).orbits[0]
     with pytest.raises(ValueError):
         unit_power_form(problem, other, 1)
 
 
 def test_representatives_are_minimal_nontrivial():
     # smallest solution with both coordinates nonzero, ordered by (y, x)
-    sols = solution_classes(NormFormProblem(2, -1))
-    assert sols.representatives() == [(1, 1)]
-    assert solution_classes(NormFormProblem(13, 4)).representatives() == [(11, 3)]
+    for d, m, reps in ((2, -1, [(1, 1)]), (13, 4, [(11, 3)])):
+        orbits = solution_classes(NormFormProblem(d, m)).orbits
+        assert [orbit.representative for orbit in orbits] == reps
 
 
 def test_multi_class_problem():
     # x^2 - 6 y^2 = 10 has the two classes of (4, 1) and (16, 13)... check
     # against brute force rather than pinning class count by hand
     problem = NormFormProblem(6, 10)
-    reps = solution_classes(problem).representatives()
-    assert len(reps) >= 1
+    assert len(solution_classes(problem).orbits) >= 1
     covered = set(solutions_within(problem, 10**4))
     assert covered == brute_solutions(6, 10, 10**4)
 

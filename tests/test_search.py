@@ -14,7 +14,6 @@ from pellsum.search import (
     digit_count,
     pair_sum_search,
     partition_analysis,
-    resolve_shard_count,
     schlickewei_bound,
     sunit_sum_search,
     vanishing_pair_sums,
@@ -78,6 +77,8 @@ def test_pair_search_finds_the_even_number_hits():
         if 2 * (n1 + n2) in targets
     )
     assert len(report.hits) == expected == 11
+    keys = [(hit.n1, hit.n2) for hit in report.hits]
+    assert keys == sorted(keys)
     for hit in report.hits:
         assert hit.value == 2 * (hit.n1 + hit.n2)
         assert hit.memberships
@@ -111,15 +112,6 @@ def test_pair_search_stabilization_flag():
     assert {(h.n1, h.n2) for h in report.hits} == {(h.n1, h.n2) for h in bigger.hits}
     assert report.stable and bigger.stable
     assert report.hypotheses is not None and report.hypotheses.applicable
-
-
-def test_pair_search_shard_count_does_not_change_hits():
-    rec = LinearRecurrence((1, -1), (0, 3))
-    one = pair_sum_search(rec, NormFormProblem(5, 4), 60, 100, shards=1)
-    four = pair_sum_search(rec, NormFormProblem(5, 4), 60, 100, shards=4)
-    assert one.hits == four.hits
-    assert one.stabilization == four.stabilization
-    assert one.shard_count == 1 and four.shard_count == 4
 
 
 def test_pair_search_order_three_recurrence_gets_a_note():
@@ -172,14 +164,6 @@ def test_sunit_search_single_unit_hits():
     assert {coord for coord, _ in one_hit.memberships} == {1, 2}
 
 
-def test_sunit_search_shard_determinism():
-    basis = SPrimeSet((2, 3, 5))
-    one = sunit_sum_search(basis, 2, 2, P134, 1500, shards=1)
-    five = sunit_sum_search(basis, 2, 2, P134, 1500, shards=5)
-    assert one.hits == five.hits
-    assert one.stabilization == five.stabilization
-
-
 def test_sunit_search_entries_are_sorted_and_merged_deterministically():
     report = sunit_sum_search(SPrimeSet((2, 3, 5)), 2, 3, P134, 1500)
     assert all(hit.entries == tuple(sorted(hit.entries)) for hit in report.hits)
@@ -192,17 +176,6 @@ def test_sunit_search_rejects_bad_tuple_size():
         sunit_sum_search(SPrimeSet((2,)), 0, 1, P134, 10)
     with pytest.raises(ValueError):
         sunit_sum_search(SPrimeSet((2,)), 5, 1, P134, 10)
-
-
-def test_resolve_shard_count(monkeypatch):
-    assert resolve_shard_count(3) == 3
-    monkeypatch.setenv("PELLSUM_SHARDS", "7")
-    assert resolve_shard_count() == 7
-    monkeypatch.setenv("PELLSUM_SHARDS", "0")
-    with pytest.raises(ValueError):
-        resolve_shard_count()
-    monkeypatch.delenv("PELLSUM_SHARDS")
-    assert resolve_shard_count() >= 1
 
 
 def test_vanishing_pair_sums_periodic_case():

@@ -11,7 +11,6 @@ from pellsum.sunits import (
     is_prime,
     subsums_nonvanishing,
     sunit_from_rational,
-    sunit_tuple,
 )
 
 
@@ -37,6 +36,20 @@ def test_is_prime_on_classic_pseudoprime_traps():
     assert is_prime(2**31 - 1)
     assert not is_prime(2**32 + 1)  # 641 * 6700417
     assert is_prime(10**9 + 7)
+
+
+def test_is_prime_exact_range_edge():
+    # psi_12 = 399165290221 * 798330580441 passes every base up to 37
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    # psi_13 passes every base up to 41, so it is refused rather than judged
+    psi13 = 3317044064679887385961981
+    for n in (psi13, psi13 + 2, 10**30):
+        with pytest.raises(ValueError):
+            is_prime(n)
+    with pytest.raises(ValueError):
+        SPrimeSet((2, psi13))
 
 
 def test_prime_set_validation():
@@ -66,12 +79,7 @@ def test_enumeration_count_formula():
         units = list(enumerate_sunits(basis, expbound))
         assert len(units) == (2 * expbound + 1) ** 3 * 2
         assert len(set(u.value for u in units)) == len(units)
-    lite = list(enumerate_sunits(basis, 1, positive_only=True))
-    assert len(lite) == 3**3
-    assert all(u.value > 0 for u in lite)
-    nn = list(enumerate_sunits(basis, 2, nonnegative_only=True))
-    assert len(nn) == 3**3 * 2
-    assert all(all(e >= 0 for e in u.exponents) for u in nn)
+        assert sum(1 for u in units if u.value > 0) == len(units) // 2
 
 
 def test_enumeration_membership_examples():
@@ -140,8 +148,8 @@ def test_subsum_size_limits():
 
 
 def test_sunit_tuple_totals():
-    t = sunit_tuple((Fraction(125), Fraction(-6)))
-    assert t.total == 119
-    assert t.certificate.ok
-    bad = sunit_tuple((Fraction(5), Fraction(-5)))
-    assert bad.total == 0 and not bad.certificate.ok
+    good = (Fraction(125), Fraction(-6))
+    assert sum(good) == 119
+    assert subsums_nonvanishing(good).ok
+    bad = (Fraction(5), Fraction(-5))
+    assert sum(bad) == 0 and not subsums_nonvanishing(bad).ok
