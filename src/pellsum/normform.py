@@ -64,22 +64,13 @@ def inv_step(automorph: tuple[int, int], d: int, x: int, y: int) -> tuple[int, i
     return a // 2, b // 2
 
 
-def _cubed_automorph(t: int, u: int, d: int) -> tuple[int, int]:
-    # ((t + u*sqrt(d))/2)^3 written back as (t', u')/2; lands in Z[sqrt(d)],
-    # so t', u' come out even whenever t, u are odd.
-    e = QuadNum(Fraction(t, 2), Fraction(u, 2), d) ** 3
-    t3, u3 = 2 * e.x, 2 * e.y
-    if t3.denominator != 1 or u3.denominator != 1:
-        raise InvariantViolationError(f"automorph cube not integral for d={d}")
-    return int(t3), int(u3)
-
-
 @dataclass(frozen=True)
 class SolutionOrbit:
     """One class of solutions, folded to nonnegative coordinates.
 
     automorph is the generator whose step stays integral on this class:
-    the minimal (t, u) when coordinates share parity, its cube otherwise.
+    the minimal (t, u) when coordinates share parity, otherwise its cube,
+    which is (2*x1, 2*y1) for the fundamental solution (x1, y1).
     seeds are the members found inside the scan window.
     """
 
@@ -138,8 +129,10 @@ def solution_classes(problem: NormFormProblem) -> NormFormSolutions:
     data = pell_data(d)
     t, u = data.automorph
     odd = t % 2 == 1
-    even_gen = _cubed_automorph(t, u, d) if odd else (t, u)
-    bt, bu = even_gen
+    # the even generator is 2*fundamental: the automorph itself when even,
+    # and the cube of an odd automorph eta, since eta^3 = x1 + y1*sqrt(d)
+    x1, y1 = data.fundamental
+    bt, bu = even_gen = (2 * x1, 2 * y1)
     sm = isqrt(abs(m)) + 1
     sd = isqrt(d)
     ylim = sm * (bt + 2 + (bu + 1) * (sd + 1)) // (2 * sd) + 2

@@ -234,19 +234,9 @@ def binet(rec: LinearRecurrence) -> BinetForm:
     disc = a1 * a1 + 4 * a2
     if disc == 0:
         raise RepeatedRootError(f"repeated root, discriminant 0 for coeffs {rec.coeffs}")
-    s = isqrt(disc) if disc > 0 else 0
-    if disc > 0 and s * s == disc:
-        alpha: Root = Fraction(a1 + s, 2)
-        beta: Root = Fraction(a1 - s, 2)
-        f1: Root = (u1 - u0 * beta) / (alpha - beta)
-        f2: Root = u0 - f1
-    else:
-        c, d0 = squarefree_decompose(disc)
-        alpha = QuadNum(Fraction(a1, 2), Fraction(c, 2), d0)
-        beta = alpha.conjugate()
-        f1 = (u1 - u0 * beta) / (alpha - beta)
-        f2 = u0 - f1
-    return BinetForm((alpha, beta), (f1, f2), disc)
+    alpha, beta = _quadratic_roots(-a1, -a2)
+    f1 = (u1 - u0 * beta) / (alpha - beta)
+    return BinetForm((alpha, beta), (f1, u0 - f1), disc)
 
 
 # -- degeneracy ------------------------------------------------------------

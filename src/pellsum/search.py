@@ -11,9 +11,10 @@ falsifiable evidence.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .errors import InvariantViolationError, TooManyIndicesError, UnsupportedOrderError
@@ -122,17 +123,15 @@ class RecurrenceHypotheses:
 def audit_hypotheses(rec: LinearRecurrence, expbound: int = 10) -> RecurrenceHypotheses:
     """Check all four hypotheses with exact root data (order <= 4)."""
     roots = characteristic_roots(rec)
-    pairs = []
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            pairs.append(
-                (i + 1, j + 1, roots_multiplicatively_independent(roots[i], roots[j], expbound))
-            )
+    pairs = tuple(
+        (i + 1, j + 1, roots_multiplicatively_independent(a, b, expbound))
+        for (i, a), (j, b) in combinations(enumerate(roots), 2)
+    )
     orders = tuple(root_of_unity_order(r) for r in roots)
     return RecurrenceHypotheses(
         rec,
         is_degenerate(rec),
-        tuple(pairs),
+        pairs,
         orders,
         abs(rec.coeffs[-1]) != 1,
         expbound,
@@ -188,24 +187,32 @@ def pair_sum_search(
     materialized up to coordbound).
 
     Membership uses the nontrivial positive-value view of the coordinate
-    sets, so only sums >= 1 can hit. Hits come out ordered by (n1, n2).
+    sets, which holds values in [1, coordbound] only. With the indices
+    sorted by term once, a bisection picks for each n1 the n2 >= n1 with
+    U_{n2} in [1 - U_{n1}, coordbound - U_{n1}]. Hits come out ordered by
+    (n1, n2).
     """
     if nbound < 1 or coordbound < 1:
         raise ValueError("bounds must be >= 1")
     start = time.perf_counter()
     terms = terms_up_to(rec, nbound)
     index = coordinate_index(problem, coordbound)
+    by_value = sorted(range(nbound + 1), key=terms.__getitem__)
+    sorted_terms = [terms[n] for n in by_value]
 
     collected: list[PairHit] = []
     for n1 in range(nbound + 1):
         u1 = terms[n1]
-        for n2 in range(n1, nbound + 1):
-            s = u1 + terms[n2]
-            if s < 1:
-                continue
-            hits_in = _memberships(index, s)
-            if hits_in:
-                collected.append(PairHit(n1, n2, s, hits_in))
+        lo = bisect_left(sorted_terms, 1 - u1)
+        hi = bisect_right(sorted_terms, coordbound - u1)
+        found = []
+        for n2 in by_value[lo:hi]:
+            if n2 >= n1:
+                s = u1 + terms[n2]
+                hits_in = _memberships(index, s)
+                if hits_in:
+                    found.append(PairHit(n1, n2, s, hits_in))
+        collected.extend(sorted(found, key=lambda h: h.n2))
 
     half = nbound // 2
     at_half = sum(1 for h in collected if h.n2 <= half)
@@ -298,26 +305,34 @@ def vanishing_pair_sums(
     f_i*(alpha_i^{n1} + alpha_i^{n2}) exactly zero.
 
     delta ranges over {1}, {2} (the per-root conditions) and {1, 2} (the
-    full sum U_{n1} + U_{n2} = 0). Exact in the root field; (0, 0) counts
-    when U_0 = 0.
+    full sum U_{n1} + U_{n2} = 0). With k = n2 - n1, the root-i part
+    f_i*alpha_i^{n1}*(1 + alpha_i^k) is zero exactly when f_i = 0 or
+    alpha_i has even order r and k = r/2 (mod r); a root of unity in Q or a
+    quadratic field has order at most 6, so root_of_unity_order decides it.
+    The full sum is tested on the integer terms. (0, 0) counts when U_0 = 0.
     """
     if nbound < 1:
         raise ValueError("nbound must be >= 1")
     form = binet(rec)
-    f1, f2 = form.coeffs
-    a1, a2 = form.roots
-    pow1, pow2 = [a1**0], [a2**0]
-    for _ in range(nbound):
-        pow1.append(pow1[-1] * a1)
-        pow2.append(pow2[-1] * a2)
+    # (r, s) per root: its part vanishes exactly when k = s (mod r)
+    residues = []
+    for f, alpha in zip(form.coeffs, form.roots):
+        r = root_of_unity_order(alpha)
+        if not f:
+            residues.append((1, 0))
+        elif r is not None and r % 2 == 0:
+            residues.append((r, r // 2))
+        else:
+            residues.append(None)
+    terms = terms_up_to(rec, nbound)
     out = []
     for n1 in range(nbound + 1):
         for n2 in range(n1, nbound + 1):
-            s1 = f1 * (pow1[n1] + pow1[n2])
-            s2 = f2 * (pow2[n1] + pow2[n2])
-            for delta, s in (((1,), s1), ((2,), s2), ((1, 2), s1 + s2)):
-                if not s:
+            for delta, rule in zip(((1,), (2,)), residues):
+                if rule is not None and (n2 - n1) % rule[0] == rule[1]:
                     out.append((n1, n2, delta))
+            if terms[n1] + terms[n2] == 0:
+                out.append((n1, n2, (1, 2)))
     return out
 
 
@@ -394,7 +409,8 @@ class PartitionReport:
 
 def partition_analysis(bases, expbound: int) -> tuple[PartitionReport, ...]:
     """For every set partition of the base indices, certify in-block pairwise
-    dependences or report independence up to expbound."""
+    dependences or report independence up to expbound. Each base pair's
+    verdict is computed once and read by every partition holding the pair."""
     from .partitions import set_partitions
 
     n = len(bases)
@@ -402,23 +418,23 @@ def partition_analysis(bases, expbound: int) -> tuple[PartitionReport, ...]:
         raise ValueError("need at least two bases")
     if n > 8:
         raise TooManyIndicesError(f"{n} bases means Bell({n}) partitions; capped at 8")
+    verdicts = {
+        (i, j): roots_multiplicatively_independent(bases[i], bases[j], expbound)
+        for i, j in combinations(range(n), 2)
+    }
     reports = []
     for partition in set_partitions(n):
-        witnesses = []
-        for block in partition:
-            for ai in range(len(block)):
-                for aj in range(ai + 1, len(block)):
-                    i, j = block[ai], block[aj]
-                    verdict = roots_multiplicatively_independent(
-                        bases[i], bases[j], expbound
-                    )
-                    if verdict.dependent:
-                        witnesses.append((i + 1, j + 1, verdict.witness))
+        witnesses = tuple(
+            (i + 1, j + 1, verdicts[i, j].witness)
+            for block in partition
+            for i, j in combinations(block, 2)
+            if verdicts[i, j].dependent
+        )
         label = "certified-dependent" if witnesses else f"independent-up-to-{expbound}"
         reports.append(
             PartitionReport(
                 tuple(tuple(i + 1 for i in block) for block in partition),
-                tuple(witnesses),
+                witnesses,
                 label,
             )
         )

@@ -6,11 +6,13 @@ Time limits are part of the verdict.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 from pellsum.fixtures import verify_remark
 from pellsum.normform import NormFormProblem, coordinate_set, solutions_within
@@ -25,6 +27,8 @@ from pellsum.recurrences import (
 )
 from pellsum.search import audit_hypotheses, pair_sum_search, schlickewei_bound, sunit_sum_search
 from pellsum.sunits import SPrimeSet, subsums_nonvanishing
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _verdict(num, ok, elapsed, limit, detail=""):
@@ -201,6 +205,7 @@ def test_acceptance_09_counting_bound():
 
 def test_acceptance_10_rerun_determinism(tmp_path):
     start = time.perf_counter()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     outputs = []
     for kind, argv in (
         ("pairs", ["pairs-search", "--rec", "2,2;0,1", "--d", "13", "--m", "4",
@@ -213,7 +218,7 @@ def test_acceptance_10_rerun_determinism(tmp_path):
             out = tmp_path / f"{kind}-{run}.json"
             subprocess.run(
                 [sys.executable, "-m", "pellsum", *argv, "--out", str(out)],
-                check=True, capture_output=True,
+                check=True, capture_output=True, env=env,
             )
             pair.append(out.read_bytes())
         outputs.append(pair[0] == pair[1] and json.loads(pair[0]))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -14,7 +15,8 @@ from pellsum.normform import (
     step,
     unit_power_form,
 )
-from pellsum.quadfield import is_squarefree
+from pellsum.pell import pell_data
+from pellsum.quadfield import QuadNum, is_squarefree, quad
 
 
 def brute_solutions(d, m, xmax):
@@ -67,12 +69,32 @@ def test_single_class_for_13_4():
 
 
 def test_mixed_parity_orbit_uses_cubed_automorph():
-    # x = y (mod 2) fails for (1, 0), so stepping needs the integral cube
+    # x = y (mod 2) fails for (1, 0), so stepping needs the cube of the odd
+    # automorph (11, 3), which is 2*fundamental = 2*(649, 180)
     orbits = solution_classes(NormFormProblem(13, 1)).orbits
     assert len(orbits) == 1
     assert orbits[0].automorph == (1298, 360)
     xs = coordinate_set(NormFormProblem(13, 1), 1, 10**7, include_trivial=True)
     assert xs == [1, 649, 842401]
+
+
+def test_odd_automorph_cubes_to_twice_the_fundamental_solution():
+    odd_d = 0
+    for d in range(2, 400):
+        if not is_squarefree(d):
+            continue
+        data = pell_data(d)
+        t, u = data.automorph
+        x1, y1 = data.fundamental
+        if t % 2:
+            odd_d += 1
+            assert QuadNum(Fraction(t, 2), Fraction(u, 2), d) ** 3 == quad(x1, y1, d)
+        if x1 > 10**4:
+            continue  # the seed scan window grows with x1
+        for m in (-4, -1, 1, 4, 11):
+            for orbit in solution_classes(NormFormProblem(d, m)).orbits:
+                assert orbit.automorph in ((t, u), (2 * x1, 2 * y1))
+    assert odd_d == 33
 
 
 def test_no_solutions_gives_no_classes():

@@ -2,11 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pellsum import search
 from pellsum.errors import RepeatedRootError, TooManyIndicesError
 from pellsum.normform import NormFormProblem, coordinate_set
+from pellsum.partitions import set_partitions
 from pellsum.quadfield import quad
-from pellsum.recurrences import LinearRecurrence, terms_up_to
+from pellsum.recurrences import (
+    LinearRecurrence,
+    binet,
+    roots_multiplicatively_independent,
+    terms_up_to,
+)
 from pellsum.search import (
     audit_hypotheses,
     coordinate_index,
@@ -296,3 +305,159 @@ def test_partition_analysis_counts_and_limits():
         partition_analysis([Fraction(2)], 4)
     with pytest.raises(TooManyIndicesError):
         partition_analysis([Fraction(k + 2) for k in range(9)], 2)
+
+
+# -- the enumerations the kernels replaced, kept as oracles -------------------
+
+
+def enumerated_pair_hits(rec, problem, nbound, coordbound):
+    terms = terms_up_to(rec, nbound)
+    index = coordinate_index(problem, coordbound)
+    hits = []
+    for n1 in range(nbound + 1):
+        for n2 in range(n1, nbound + 1):
+            s = terms[n1] + terms[n2]
+            if s < 1:
+                continue
+            memberships = tuple((c, index[c][s]) for c in (1, 2) if s in index[c])
+            if memberships:
+                hits.append((n1, n2, s, memberships))
+    return hits
+
+
+def root_field_vanishing_sums(rec, nbound):
+    form = binet(rec)
+    f1, f2 = form.coeffs
+    a1, a2 = form.roots
+    pow1, pow2 = [a1**0], [a2**0]
+    for _ in range(nbound):
+        pow1.append(pow1[-1] * a1)
+        pow2.append(pow2[-1] * a2)
+    out = []
+    for n1 in range(nbound + 1):
+        for n2 in range(n1, nbound + 1):
+            s1 = f1 * (pow1[n1] + pow1[n2])
+            s2 = f2 * (pow2[n1] + pow2[n2])
+            for delta, s in (((1,), s1), ((2,), s2), ((1, 2), s1 + s2)):
+                if not s:
+                    out.append((n1, n2, delta))
+    return out
+
+
+def per_partition_witnesses(bases, expbound):
+    out = []
+    for partition in set_partitions(len(bases)):
+        witnesses = []
+        for block in partition:
+            for ai in range(len(block)):
+                for aj in range(ai + 1, len(block)):
+                    i, j = block[ai], block[aj]
+                    verdict = roots_multiplicatively_independent(bases[i], bases[j], expbound)
+                    if verdict.dependent:
+                        witnesses.append((i + 1, j + 1, verdict.witness))
+        out.append((tuple(tuple(i + 1 for i in b) for b in partition), tuple(witnesses)))
+    return out
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except RepeatedRootError:
+        return RepeatedRootError
+
+
+def pair_hit_keys(report):
+    return [(h.n1, h.n2, h.value, h.memberships) for h in report.hits]
+
+
+# oscillating terms whose window crosses 0, tied periodic terms, the rational
+# root -1, U_n = 2^n with a zero coefficient on root 1, and the roots +-sqrt(-1)
+PINNED_RECS = ["-1,6;2,-1", "1,-1;0,3", "0,1;1,2", "3,-2;1,2", "0,-1;1,0"]
+SMALL_PROBLEMS = [(13, 4), (5, 4), (2, -1), (3, 1), (6, -2), (7, 2), (10, 9)]
+BASES = [
+    Fraction(2), Fraction(4), Fraction(-8), Fraction(3), Fraction(1, 2), Fraction(-1),
+    quad(3, 2, 2), quad(3, -2, 2), quad(1, 1, 2), quad(17, 12, 2),
+]
+
+small_ints = st.integers(-10, 10)
+# a2 = a1 + 1 puts -1 among the roots, a2 = 1 - a1 puts 1, a2 = -1 gives roots
+# of norm 1; U1 = +-U0 then zeroes the coefficient of the root +-1
+recurrences = st.builds(
+    LinearRecurrence,
+    small_ints.flatmap(
+        lambda a1: st.tuples(
+            st.just(a1), st.sampled_from([a1 + 1, 1 - a1, -1]) | small_ints
+        ).filter(lambda c: c[1])
+    ),
+    (
+        st.tuples(small_ints, small_ints)
+        | small_ints.map(lambda u: (u, u))
+        | small_ints.map(lambda u: (u, -u))
+    ).filter(any),
+)
+
+
+@pytest.mark.parametrize("literal", PINNED_RECS)
+def test_pinned_kernels_match_their_enumerations(literal):
+    rec = LinearRecurrence.from_literal(literal)
+    assert vanishing_pair_sums(rec, 40) == root_field_vanishing_sums(rec, 40)
+    for d, m in SMALL_PROBLEMS[:3]:
+        problem = NormFormProblem(d, m)
+        report = pair_sum_search(rec, problem, 60, 10**6)
+        assert pair_hit_keys(report) == enumerated_pair_hits(rec, problem, 60, 10**6)
+
+
+def test_pair_search_window_edges_and_hit_order():
+    # U_n = n: 59 + 60 sits exactly on the coordinate bound 119
+    rec = LinearRecurrence((2, -1), (0, 1))
+    report = pair_sum_search(rec, P134, 60, 119)
+    assert (59, 60, 119) in [(h.n1, h.n2, h.value) for h in report.hits]
+    assert pair_hit_keys(report) == enumerated_pair_hits(rec, P134, 60, 119)
+    # terms -7, 10, -12, 8, ...: for n1 = 0 the sum 1 (n2 = 3) is smaller
+    # than the sum 3 (n2 = 1), yet hits still come out by index
+    rec = LinearRecurrence((-4, -4), (-7, 10))
+    report = pair_sum_search(rec, NormFormProblem(5, 4), 30, 10**6)
+    assert [(h.n1, h.n2, h.value) for h in report.hits][:2] == [(0, 1, 3), (0, 3, 1)]
+    assert pair_hit_keys(report) == enumerated_pair_hits(rec, NormFormProblem(5, 4), 30, 10**6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    recurrences,
+    st.integers(1, 60),
+    st.sampled_from(SMALL_PROBLEMS),
+    st.integers(0, 12),
+)
+def test_pair_search_matches_enumeration(rec, nbound, dm, bound_exp):
+    problem, coordbound = NormFormProblem(*dm), 10**bound_exp
+    report = pair_sum_search(rec, problem, nbound, coordbound)
+    assert pair_hit_keys(report) == enumerated_pair_hits(rec, problem, nbound, coordbound)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(recurrences, st.integers(1, 40))
+def test_vanishing_matches_root_field_sums(rec, nbound):
+    assert outcome(vanishing_pair_sums, rec, nbound) == outcome(
+        root_field_vanishing_sums, rec, nbound
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(st.lists(st.sampled_from(BASES), min_size=2, max_size=5), st.integers(1, 4))
+def test_partition_analysis_matches_per_partition_calls(bases, expbound):
+    reports = partition_analysis(bases, expbound)
+    assert [(r.blocks, r.witnesses) for r in reports] == per_partition_witnesses(bases, expbound)
+    for r in reports:
+        assert (r.verdict == "certified-dependent") == bool(r.witnesses)
+
+
+def test_partition_analysis_decides_each_pair_once(monkeypatch):
+    calls = []
+
+    def counting(alpha, beta, expbound):
+        calls.append((alpha, beta))
+        return roots_multiplicatively_independent(alpha, beta, expbound)
+
+    monkeypatch.setattr(search, "roots_multiplicatively_independent", counting)
+    partition_analysis([Fraction(k) for k in range(2, 9)], 3)
+    assert len(calls) == 21  # C(7, 2); one call per in-block pair would be 4263
