@@ -578,6 +578,11 @@ def _canonical(doc: dict) -> str:
 
 
 def main(argv=None) -> int:
+    # documents hold exact integers of any length (x1 for d = 1000000007 has
+    # 6,382 digits); lift the interpreter's cap on int-to-str conversion,
+    # which Pythons before 3.10.7 do not have
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

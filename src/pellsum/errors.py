@@ -33,6 +33,10 @@ class TooManyIndicesError(PellsumError, ValueError):
     """Partition analysis refused: Bell(n) blows up past n = 8."""
 
 
+class SearchBudgetError(PellsumError, ValueError):
+    """Search refused: its work estimate is past the documented budget."""
+
+
 class UnknownRemarkError(PellsumError, ValueError):
     """No shipped fixture with the requested id."""
 

@@ -15,9 +15,14 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, prod
 
-from .errors import InvariantViolationError, TooManyIndicesError, UnsupportedOrderError
+from .errors import (
+    InvariantViolationError,
+    SearchBudgetError,
+    TooManyIndicesError,
+    UnsupportedOrderError,
+)
 from .normform import NormFormProblem, solution_classes
 from .recurrences import (
     DegeneracyVerdict,
@@ -69,11 +74,7 @@ def coordinate_index(
     return index
 
 
-def _memberships(index, value) -> tuple[tuple[int, tuple[int, int]], ...]:
-    if isinstance(value, Fraction):
-        if value.denominator != 1:
-            return ()
-        value = int(value)
+def _memberships(index, value: int) -> tuple[tuple[int, tuple[int, int]], ...]:
     return tuple(
         (coord, index[coord][value]) for coord in (1, 2) if value in index[coord]
     )
@@ -236,6 +237,14 @@ def pair_sum_search(
 
 # -- S-unit sum search -------------------------------------------------------
 
+# Lookups sunit_sum_search may make before it refuses. A lookup takes
+# 0.15-0.5 us, so the budget keeps a search to a few seconds; the
+# catalogue's largest S-unit job needs about 2.3e5.
+SUNIT_LOOKUP_BUDGET = 10**7
+# Building one S-unit and its Fraction value costs about 20 us, so the
+# estimate counts each unit as this many lookups.
+_LOOKUPS_PER_UNIT = 100
+
 
 def sunit_sum_search(
     basis: SPrimeSet,
@@ -247,6 +256,18 @@ def sunit_sum_search(
     """All size-t multisets of S-units (every |b_i| <= expbound) whose sum
     lies in X1 or X2 and whose nonempty subsums all stay nonzero.
 
+    Every unit times scale = prod p^expbound is an integer, so a multiset
+    is a hit exactly when its scaled sum is x*scale for a coordinate value
+    x, and every such x lies in [1, coordbound]. Each (t-1)-multiset prefix
+    of unit indices is summed once; for each x, the last unit is looked up
+    as x*scale minus the prefix sum in a dict from scaled value to unit
+    index (distinct S-units have distinct values). A unit found below the
+    prefix's last index is skipped, so each multiset is found once.
+
+    The work is C(|U|+t-2, t-1) prefixes times |X| lookups, after |U| units
+    are built. An estimate past SUNIT_LOOKUP_BUDGET raises SearchBudgetError
+    before any unit is built.
+
     Hits record the certificate; entries are reported in ascending value
     order, hits by (total, entries).
     """
@@ -254,27 +275,45 @@ def sunit_sum_search(
         raise ValueError("tuple size must be between 1 and 4")
     if coordbound < 1:
         raise ValueError("coordinate bound must be >= 1")
+    if expbound < 0:
+        raise ValueError("exponent bound must be >= 0")
     start = time.perf_counter()
+    index = coordinate_index(problem, coordbound)
+    targets = index[1].keys() | index[2].keys()
+    unit_count = 2 * (2 * expbound + 1) ** len(basis)
+    # each prefix is summed once even with no coordinate values
+    prefixes = comb(unit_count + tuple_size - 2, tuple_size - 1)
+    lookups = prefixes * max(len(targets), 1) + unit_count * _LOOKUPS_PER_UNIT
+    if lookups > SUNIT_LOOKUP_BUDGET:
+        raise SearchBudgetError(
+            f"S-unit search estimated at {lookups} lookups ({unit_count} units,"
+            f" {prefixes} prefixes, {len(targets)} coordinate values);"
+            f" the budget is {SUNIT_LOOKUP_BUDGET}"
+        )
     units = list(enumerate_sunits(basis, expbound))
     values = [u.value for u in units]
-    index = coordinate_index(problem, coordbound)
+    scale = prod(p**expbound for p in basis.primes)
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    position = {s: k for k, s in enumerate(scaled)}
+    goals = [(x, x * scale) for x in targets]
     half_box = {
         i for i, u in enumerate(units) if all(abs(b) <= expbound // 2 for b in u.exponents)
     }
 
     collected: list[tuple] = []
-    for picked in combinations_with_replacement(range(len(units)), tuple_size):
-        total = sum((values[k] for k in picked), Fraction(0))
-        if total < 1:
-            continue
-        hits_in = _memberships(index, total)
-        if not hits_in:
-            continue
-        entry_vals = tuple(sorted(values[k] for k in picked))
-        cert = subsums_nonvanishing(entry_vals)
-        if cert.ok:
-            in_half = all(k in half_box for k in picked)
-            collected.append((SUnitHit(entry_vals, total, hits_in, cert), in_half))
+    for prefix in combinations_with_replacement(range(len(units)), tuple_size - 1):
+        partial = sum(scaled[k] for k in prefix)
+        last = prefix[-1] if prefix else 0
+        for x, goal in goals:
+            k = position.get(goal - partial)
+            if k is None or k < last:
+                continue
+            picked = prefix + (k,)
+            entry_vals = tuple(sorted(values[j] for j in picked))
+            cert = subsums_nonvanishing(entry_vals)
+            if cert.ok:
+                hit = SUnitHit(entry_vals, Fraction(x), _memberships(index, x), cert)
+                collected.append((hit, all(j in half_box for j in picked)))
     collected.sort(key=lambda pair: (pair[0].total, pair[0].entries))
     at_half = sum(1 for _, in_half in collected if in_half)
     hits = tuple(h for h, _ in collected)

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from pellsum.cli import main, parse_base
 from pellsum.quadfield import quad
 from fractions import Fraction
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_main(argv, capsys):
@@ -190,6 +197,36 @@ def test_domain_errors_exit_1_without_raising(capsys):
         assert code == 1 and err, argv
     code, out, err = run_main(["pell", "--d", "12"], capsys)
     assert code == 1 and "squarefree" in err
+
+
+def test_sunit_search_over_budget_refuses_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run_main(
+        ["sunit-search", "--primes=2,3,5,7", "--t=4", "--exp-bound=10",
+         "--d=13", "--m=4", "--bound=1000000"],
+        capsys,
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 1 and out == ""
+    assert "estimated at" in err and "388962 units" in err
+
+
+def test_pell_prints_integers_past_the_str_digit_cap():
+    # x1 has 6,382 digits, past CPython's default cap of 4,300
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-m", "pellsum", "pell", "--d=1000000007", "--format=structured"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        x1, y1 = json.loads(run.stdout)["results"]["fundamental"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert x1 * x1 - 1000000007 * y1 * y1 == 1
+    assert x1.bit_length() > 14000
 
 
 def test_invariant_violation_exits_2(capsys, monkeypatch):

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pellsum import search
-from pellsum.errors import RepeatedRootError, TooManyIndicesError
+from pellsum.errors import RepeatedRootError, SearchBudgetError, TooManyIndicesError
 from pellsum.normform import NormFormProblem, coordinate_set
 from pellsum.partitions import set_partitions
 from pellsum.quadfield import quad
@@ -27,7 +29,7 @@ from pellsum.search import (
     sunit_sum_search,
     vanishing_pair_sums,
 )
-from pellsum.sunits import SPrimeSet, subsums_nonvanishing
+from pellsum.sunits import SPrimeSet, enumerate_sunits, subsums_nonvanishing
 
 P134 = NormFormProblem(13, 4)
 
@@ -187,6 +189,29 @@ def test_sunit_search_rejects_bad_tuple_size():
         sunit_sum_search(SPrimeSet((2,)), 5, 1, P134, 10)
 
 
+def test_sunit_search_refuses_past_the_work_budget():
+    # t = 1 makes few lookups, yet building 2 * 10^6 + 2 units is refused
+    with pytest.raises(SearchBudgetError, match="2000002 units"):
+        sunit_sum_search(SPrimeSet((2,)), 1, 10**6 // 2, P134, 10**6)
+    # a bad exponent bound is still reported as such, before any estimate
+    with pytest.raises(ValueError, match="exponent bound"):
+        sunit_sum_search(SPrimeSet((2,)), 2, -1, P134, 10)
+
+
+@pytest.mark.parametrize(
+    "primes, tuple_size, expbound, count, stabilization",
+    [
+        ((2, 3), 3, 3, 209, (10, 209)),
+        ((2, 3), 4, 2, 561, (38, 561)),
+        ((2, 3, 5), 3, 2, 983, (94, 983)),
+    ],
+)
+def test_sunit_search_pinned_large_inputs(primes, tuple_size, expbound, count, stabilization):
+    # the enumeration took 1.2-24 s on these; the counts are its output
+    report = sunit_sum_search(SPrimeSet(primes), tuple_size, expbound, P134, 10**6)
+    assert (len(report.hits), report.stabilization) == (count, stabilization)
+
+
 def test_vanishing_pair_sums_periodic_case():
     rec = LinearRecurrence((1, -1), (0, 3))
     hits = vanishing_pair_sums(rec, 12)
@@ -325,6 +350,33 @@ def enumerated_pair_hits(rec, problem, nbound, coordbound):
     return hits
 
 
+def enumerated_sunit_hits(basis, tuple_size, expbound, problem, coordbound):
+    units = list(enumerate_sunits(basis, expbound))
+    values = [u.value for u in units]
+    index = coordinate_index(problem, coordbound)
+    half_box = {
+        i for i, u in enumerate(units) if all(abs(b) <= expbound // 2 for b in u.exponents)
+    }
+    collected = []
+    for picked in combinations_with_replacement(range(len(units)), tuple_size):
+        total = sum((values[k] for k in picked), Fraction(0))
+        if total < 1 or total.denominator != 1:
+            continue
+        memberships = tuple(
+            (c, index[c][int(total)]) for c in (1, 2) if int(total) in index[c]
+        )
+        if not memberships:
+            continue
+        entry_vals = tuple(sorted(values[k] for k in picked))
+        cert = subsums_nonvanishing(entry_vals)
+        if cert.ok:
+            in_half = all(k in half_box for k in picked)
+            collected.append((search.SUnitHit(entry_vals, total, memberships, cert), in_half))
+    collected.sort(key=lambda pair: (pair[0].total, pair[0].entries))
+    hits = tuple(h for h, _ in collected)
+    return hits, (sum(1 for _, in_half in collected if in_half), len(hits))
+
+
 def root_field_vanishing_sums(rec, nbound):
     form = binet(rec)
     f1, f2 = form.coeffs
@@ -461,3 +513,23 @@ def test_partition_analysis_decides_each_pair_once(monkeypatch):
     monkeypatch.setattr(search, "roots_multiplicatively_independent", counting)
     partition_analysis([Fraction(k) for k in range(2, 9)], 3)
     assert len(calls) == 21  # C(7, 2); one call per in-block pair would be 4263
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    st.lists(st.sampled_from([2, 3, 5, 7, 11]), min_size=1, max_size=3, unique=True),
+    # larger t and E first: the draws lean toward the big cases
+    st.sampled_from([4, 3, 2, 1]),
+    st.sampled_from([3, 2, 1, 0]),
+    st.sampled_from(SMALL_PROBLEMS),
+    st.sampled_from([10**6, 1500, 10**12, 10]),
+)
+@example([2, 3], 3, 1, (13, 4), 1500)  # 2 + (-2) + 3 = 3 has a vanishing subsum
+def test_sunit_search_matches_enumeration(primes, tuple_size, expbound, dm, coordbound):
+    units = 2 * (2 * expbound + 1) ** len(primes)
+    assume(comb(units + tuple_size - 1, tuple_size) <= 3000)
+    basis, problem = SPrimeSet(tuple(sorted(primes))), NormFormProblem(*dm)
+    report = sunit_sum_search(basis, tuple_size, expbound, problem, coordbound)
+    assert (report.hits, report.stabilization) == enumerated_sunit_hits(
+        basis, tuple_size, expbound, problem, coordbound
+    )
