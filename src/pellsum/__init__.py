@@ -9,7 +9,6 @@ statements.
 """
 
 from .errors import (
-    DimensionMismatchError,
     InvariantViolationError,
     MixedFieldError,
     NotSquarefreeError,
@@ -39,14 +38,9 @@ from .recurrences import (
     DegeneracyVerdict,
     DependenceVerdict,
     LinearRecurrence,
-    MultiRecurrence,
-    MultiRecVerdict,
-    Poly,
     binet,
     characteristic_roots,
-    eval_multirec,
     is_degenerate,
-    multirec_degenerate,
     root_of_unity_order,
     roots_multiplicatively_independent,
     terms_up_to,
@@ -83,13 +77,10 @@ __all__ = [
     "BinetForm",
     "DegeneracyVerdict",
     "DependenceVerdict",
-    "DimensionMismatchError",
     "FixtureReport",
     "InvariantViolationError",
     "LinearRecurrence",
     "MixedFieldError",
-    "MultiRecVerdict",
-    "MultiRecurrence",
     "NormFormProblem",
     "NormFormSolutions",
     "NotSquarefreeError",
@@ -97,7 +88,6 @@ __all__ = [
     "PartitionReport",
     "PellData",
     "PellsumError",
-    "Poly",
     "QuadNum",
     "RecurrenceHypotheses",
     "RepeatedRootError",
@@ -122,11 +112,9 @@ __all__ = [
     "describe_bound",
     "digit_count",
     "enumerate_sunits",
-    "eval_multirec",
     "is_degenerate",
     "is_prime",
     "is_squarefree",
-    "multirec_degenerate",
     "pair_sum_search",
     "partition_analysis",
     "pell_data",

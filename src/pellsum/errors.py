@@ -21,10 +21,6 @@ class UnsupportedOrderError(PellsumError):
     """Recurrence order outside what the exact machinery can handle."""
 
 
-class DimensionMismatchError(PellsumError, ValueError):
-    """Vector length does not match the declared number of variables."""
-
-
 class TupleTooLargeError(PellsumError, ValueError):
     """Subset-sum certification refused: 2^t subsets is past the cap."""
 
@@ -34,7 +30,7 @@ class TooManyIndicesError(PellsumError, ValueError):
 
 
 class SearchBudgetError(PellsumError, ValueError):
-    """Search refused: its work estimate is past the documented budget."""
+    """Refused: a work estimate is past the documented budget."""
 
 
 class UnknownRemarkError(PellsumError, ValueError):

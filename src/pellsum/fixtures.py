@@ -28,13 +28,6 @@ from .recurrences import (
 )
 from .search import coordinate_index, pair_sum_search
 
-_FIXTURE_FILES = {
-    "2.3": "remark_2_3.json",
-    "2.4": "remark_2_4.json",
-    "2.5": "remark_2_5.json",
-}
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """One recomputed claim: what the record says next to what we got."""
@@ -61,9 +54,9 @@ class FixtureReport:
 def load_fixture(remark_id: str) -> dict:
     """Return the raw recorded data for one fixture id."""
     try:
-        filename = _FIXTURE_FILES[remark_id]
+        filename, _ = _FIXTURES[remark_id]
     except KeyError:
-        known = ", ".join(sorted(_FIXTURE_FILES))
+        known = ", ".join(sorted(_FIXTURES))
         raise UnknownRemarkError(
             f"unknown fixture id {remark_id!r}; shipped ids are {known}"
         ) from None
@@ -241,7 +234,12 @@ def _verify_2_5(data: dict, bound: int) -> list[CheckResult]:
     return checks
 
 
-_VERIFIERS = {"2.3": _verify_2_3, "2.4": _verify_2_4, "2.5": _verify_2_5}
+# fixture id -> (file under fixtures/, verifier)
+_FIXTURES = {
+    "2.3": ("remark_2_3.json", _verify_2_3),
+    "2.4": ("remark_2_4.json", _verify_2_4),
+    "2.5": ("remark_2_5.json", _verify_2_5),
+}
 
 
 def verify_remark(remark_id: str, bound: int) -> FixtureReport:
@@ -255,7 +253,8 @@ def verify_remark(remark_id: str, bound: int) -> FixtureReport:
         raise ValueError("bound must be an int")
     if bound < 10:
         raise ValueError(f"bound must be at least 10, got {bound}")
-    checks = _VERIFIERS[remark_id](data, bound)
+    _, verifier = _FIXTURES[remark_id]
+    checks = verifier(data, bound)
     return FixtureReport(
         remark_id=remark_id,
         bound=bound,

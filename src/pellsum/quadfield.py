@@ -172,12 +172,6 @@ class QuadNum:
         """x^2 - d*y^2. Zero only for the zero element (d squarefree)."""
         return self.x * self.x - self.d * self.y * self.y
 
-    def trace(self) -> Fraction:
-        return 2 * self.x
-
-    def is_rational(self) -> bool:
-        return self.y == 0
-
     def __bool__(self) -> bool:
         return self.x != 0 or self.y != 0
 

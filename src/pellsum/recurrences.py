@@ -1,6 +1,5 @@
-"""Integer linear recurrences: exact terms, order-2 closed forms, degeneracy,
-multiplicative dependence of roots, and polynomial-exponential sums in
-several variables.
+"""Integer linear recurrences: exact terms, order-2 closed forms, degeneracy
+and multiplicative dependence of roots.
 
 Roots live in Fraction (rational case) or QuadNum (quadratic case, d may be
 negative); orders 3 and 4 are handled only when the characteristic
@@ -11,16 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import isqrt
 
-from .errors import (
-    DimensionMismatchError,
-    InvariantViolationError,
-    MixedFieldError,
-    RepeatedRootError,
-    UnsupportedOrderError,
-)
+from .errors import InvariantViolationError, RepeatedRootError, UnsupportedOrderError
 from .quadfield import QuadNum, squarefree_decompose, value_equal
 
 Root = Fraction | QuadNum
@@ -358,164 +350,3 @@ def roots_multiplicatively_independent(alpha, beta, expbound: int) -> Dependence
                     return DependenceVerdict(True, (p, q), expbound)
     return DependenceVerdict(False, None, expbound)
 
-
-# -- polynomial-exponential sums in several variables -----------------------
-
-
-@dataclass(frozen=True)
-class Poly:
-    """Polynomial in dims variables; monomials map exponent tuples to
-    rational (or, for dims = 1 only, quadratic) coefficients."""
-
-    dims: int
-    monomials: tuple[tuple[tuple[int, ...], Fraction | QuadNum], ...]
-
-    def __post_init__(self) -> None:
-        if self.dims < 1:
-            raise ValueError("dims must be >= 1")
-        seen = set()
-        cleaned = []
-        for exps, coeff in self.monomials:
-            exps = tuple(exps)
-            if len(exps) != self.dims:
-                raise DimensionMismatchError(
-                    f"monomial {exps} does not have {self.dims} exponents"
-                )
-            if any(e < 0 for e in exps):
-                raise ValueError("monomial exponents must be >= 0")
-            if exps in seen:
-                raise ValueError(f"duplicate monomial {exps}")
-            seen.add(exps)
-            if not isinstance(coeff, QuadNum):
-                coeff = Fraction(coeff)
-            elif self.dims != 1:
-                raise MixedFieldError(
-                    "quadratic coefficients are only supported in one variable"
-                )
-            if coeff:
-                cleaned.append((exps, coeff))
-        object.__setattr__(self, "monomials", tuple(sorted(cleaned, key=lambda m: m[0])))
-
-    @classmethod
-    def constant(cls, value, dims: int) -> "Poly":
-        return cls(dims, (((0,) * dims, value),))
-
-    def evaluate(self, point: tuple[int, ...]):
-        if len(point) != self.dims:
-            raise DimensionMismatchError(
-                f"expected {self.dims} arguments, got {len(point)}"
-            )
-        total = Fraction(0)
-        for exps, coeff in self.monomials:
-            term = coeff
-            for n, e in zip(point, exps):
-                term = term * Fraction(n) ** e
-            total = total + term
-        return total
-
-
-@dataclass(frozen=True)
-class MultiRecurrence:
-    """Sum of P_i(n) * prod_k alpha_ik^(n_k) over terms i, in dims variables.
-
-    Every base entry must be nonzero; quadratic bases must all share one
-    field so cross-term comparisons stay exact.
-    """
-
-    terms: tuple[tuple[Poly, tuple], ...]
-    dims: int
-
-    def __post_init__(self) -> None:
-        if self.dims < 1:
-            raise ValueError("dims must be >= 1")
-        fields = set()
-        fixed = []
-        for poly, bases in self.terms:
-            bases = tuple(bases)
-            if poly.dims != self.dims:
-                raise DimensionMismatchError(
-                    f"polynomial in {poly.dims} variables, expected {self.dims}"
-                )
-            if len(bases) != self.dims:
-                raise DimensionMismatchError(
-                    f"base vector {bases} does not have {self.dims} entries"
-                )
-            coerced = []
-            for b in bases:
-                if isinstance(b, QuadNum):
-                    fields.add(b.d)
-                    if not b:
-                        raise ValueError("base entries must be nonzero")
-                    coerced.append(b)
-                else:
-                    b = Fraction(b)
-                    if b == 0:
-                        raise ValueError("base entries must be nonzero")
-                    coerced.append(b)
-            fixed.append((poly, tuple(coerced)))
-        if len(fields) > 1:
-            raise MixedFieldError(
-                f"base entries span several quadratic fields: {sorted(fields)}"
-            )
-        object.__setattr__(self, "terms", tuple(fixed))
-
-
-def _base_power(bases: tuple, exps: tuple[int, ...]):
-    acc = Fraction(1)
-    for b, e in zip(bases, exps):
-        acc = acc * _power(b, e)
-    return acc
-
-
-def eval_multirec(rec: MultiRecurrence, point: tuple[int, ...]):
-    """Exact value at a vector of non-negative integers."""
-    point = tuple(point)
-    if len(point) != rec.dims:
-        raise DimensionMismatchError(
-            f"expected {rec.dims} arguments, got {len(point)}"
-        )
-    for n in point:
-        if _check_int(n, "argument") < 0:
-            raise ValueError("arguments must be >= 0")
-    total = Fraction(0)
-    for poly, bases in rec.terms:
-        total = total + poly.evaluate(point) * _base_power(bases, point)
-    return total
-
-
-@dataclass(frozen=True)
-class MultiRecVerdict:
-    degenerate: bool
-    witness: tuple[int, int, tuple[int, ...]] | None
-    bound: int
-
-
-def multirec_degenerate(rec: MultiRecurrence, nbound: int) -> MultiRecVerdict:
-    """Search nonzero integer vectors with all |n_k| <= nbound for a pair of
-    base vectors agreeing: alpha_i^n = alpha_j^n.
-
-    Vectors are canonicalized to first nonzero entry positive (n and -n give
-    the same relation) and scanned smallest max-norm first; the witness is
-    (i, j, n) with 1-based term indices.
-    """
-    if nbound < 1:
-        raise ValueError("nbound must be >= 1")
-    seen = set()
-    vectors = []
-    for vec in product(range(-nbound, nbound + 1), repeat=rec.dims):
-        if not any(vec):
-            continue
-        first = next(v for v in vec if v)
-        if first < 0:
-            vec = tuple(-v for v in vec)
-        if vec not in seen:
-            seen.add(vec)
-            vectors.append(vec)
-    vectors.sort(key=lambda v: (max(abs(e) for e in v), v))
-    for vec in vectors:
-        powers = [_base_power(bases, vec) for _, bases in rec.terms]
-        for i in range(len(powers)):
-            for j in range(i + 1, len(powers)):
-                if value_equal(powers[i], powers[j]):
-                    return MultiRecVerdict(True, (i + 1, j + 1, vec), nbound)
-    return MultiRecVerdict(False, None, nbound)

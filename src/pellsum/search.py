@@ -378,10 +378,19 @@ def vanishing_pair_sums(
 # -- counting bound ----------------------------------------------------------
 
 
+# Bits schlickewei_bound may build before it refuses. Building the integer is
+# cheap, but describe_bound counts its decimal digits in time superlinear in
+# the bit length: `bound --s 3 --degrees 4` (A = 35, 1.5e6 bits) answers in
+# about a second, `--s 3 --degrees 6` (A = 84, 2.1e7 bits) took 41 s.
+BOUND_BIT_BUDGET = 2**21
+
+
 def schlickewei_bound(dims: int, degrees: list[int], field_degree: int) -> int:
     """2^(35*A^3) * D^(6*A^2) with A = max(dims, sum of C(dims+delta, dims)).
 
-    Exact big integer; pair with describe_bound for display.
+    Exact big integer; pair with describe_bound for display. The bit length
+    is estimated as 35*A^3 + 6*A^2*D.bit_length() before any power is
+    taken; an estimate past BOUND_BIT_BUDGET raises SearchBudgetError.
     """
     if dims < 1:
         raise ValueError("dims must be >= 1")
@@ -392,7 +401,14 @@ def schlickewei_bound(dims: int, degrees: list[int], field_degree: int) -> int:
     if any(d < 0 for d in degrees):
         raise ValueError("degrees must be >= 0")
     a = max(dims, sum(comb(dims + delta, dims) for delta in degrees))
-    return 2 ** (35 * a**3) * field_degree ** (6 * a**2)
+    two_exp, field_exp = 35 * a**3, 6 * a**2
+    bits = two_exp + field_exp * field_degree.bit_length()
+    if bits > BOUND_BIT_BUDGET:
+        raise SearchBudgetError(
+            f"counting bound estimated at {bits} bits (A = {a});"
+            f" the budget is {BOUND_BIT_BUDGET} bits"
+        )
+    return 2**two_exp * field_degree**field_exp
 
 
 def digit_count(n: int) -> int:

@@ -190,6 +190,7 @@ def test_domain_errors_exit_1_without_raising(capsys):
         ["verify-remark", "--id", "2.9", "--n", "100"],
         ["verify-remark", "--id", "2.4", "--n", "5"],
         ["bound", "--s", "0", "--degrees", "1", "--field-degree", "2"],
+        ["bound", "--s", "10", "--degrees", "10", "--field-degree", "2"],  # over budget
         ["partitions", "--bases", "2", "--exp-bound", "3"],
         ["binet", "--rec", "2,-1;0,2"],  # repeated root
     ):

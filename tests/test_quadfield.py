@@ -72,7 +72,6 @@ def test_norm_is_multiplicative():
 def test_norm_and_trace_values():
     z = quad(3, 2, 2)
     assert z.norm() == 9 - 2 * 4 == 1
-    assert z.trace() == 6
     assert z.conjugate() == quad(3, -2, 2)
     half = QuadNum(Fraction(11, 2), Fraction(3, 2), 13)
     assert half.norm() == Fraction(121 - 13 * 9, 4) == 1
@@ -122,9 +121,7 @@ def test_rational_embedding_and_value_equal():
     assert not value_equal(quad(1, 1, 2), quad(1, -1, 2))
 
 
-def test_is_rational_and_bool():
-    assert quad(4, 0, 5).is_rational()
-    assert not quad(0, 1, 5).is_rational()
+def test_bool():
     assert not quad(0, 0, 5)
     assert quad(0, 1, 5)
 

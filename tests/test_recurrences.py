@@ -3,23 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from pellsum.errors import (
-    DimensionMismatchError,
-    MixedFieldError,
-    RepeatedRootError,
-    UnsupportedOrderError,
-)
+from pellsum.errors import RepeatedRootError, UnsupportedOrderError
 from pellsum.quadfield import QuadNum, quad, squarefree_decompose, value_equal
 from pellsum.recurrences import (
-    BinetForm,
     LinearRecurrence,
-    MultiRecurrence,
-    Poly,
     binet,
     characteristic_roots,
-    eval_multirec,
     is_degenerate,
-    multirec_degenerate,
     root_of_unity_order,
     roots_multiplicatively_independent,
     terms_up_to,
@@ -248,94 +238,3 @@ def test_dependence_when_product_or_ratio_is_trivial():
     assert roots_multiplicatively_independent(z, -z, 4).dependent
     assert roots_multiplicatively_independent(z, z.conjugate() * -1, 4).dependent
 
-
-def test_eval_multirec_pinned():
-    one = Poly.constant(1, 2)
-    F = MultiRecurrence(((one, (5, 6)), (one, (10, 3))), 2)
-    assert eval_multirec(F, (1, 1)) == 60
-    assert eval_multirec(F, (0, 0)) == 2
-    assert eval_multirec(F, (2, 1)) == 450
-
-
-def test_eval_multirec_is_linear_in_terms():
-    rng = random.Random(17)
-    for _ in range(100):
-        dims = rng.randint(1, 3)
-        def make_terms():
-            terms = []
-            for _ in range(rng.randint(1, 3)):
-                monos = tuple(
-                    (tuple(rng.randint(0, 2) for _ in range(dims)), rng.randint(-4, 4))
-                    for _ in range(rng.randint(1, 2))
-                )
-                try:
-                    poly = Poly(dims, monos)
-                except ValueError:
-                    poly = Poly.constant(1, dims)
-                bases = tuple(rng.choice([2, 3, 5, Fraction(1, 2), -2]) for _ in range(dims))
-                terms.append((poly, bases))
-            return tuple(terms)
-        t1, t2 = make_terms(), make_terms()
-        point = tuple(rng.randint(0, 4) for _ in range(dims))
-        left = eval_multirec(MultiRecurrence(t1 + t2, dims), point)
-        right = eval_multirec(MultiRecurrence(t1, dims), point) + eval_multirec(
-            MultiRecurrence(t2, dims), point
-        )
-        assert left == right
-
-
-def test_multirec_validation():
-    one = Poly.constant(1, 2)
-    with pytest.raises(ValueError):
-        MultiRecurrence(((one, (0, 3)),), 2)  # zero base
-    with pytest.raises(DimensionMismatchError):
-        MultiRecurrence(((one, (2,)),), 2)
-    with pytest.raises(DimensionMismatchError):
-        eval_multirec(MultiRecurrence(((one, (2, 3)),), 2), (1,))
-    with pytest.raises(ValueError):
-        eval_multirec(MultiRecurrence(((one, (2, 3)),), 2), (1, -1))
-    with pytest.raises(MixedFieldError):
-        MultiRecurrence(
-            ((Poly.constant(1, 1), (quad(1, 1, 2),)),
-             (Poly.constant(1, 1), (quad(1, 1, 3),))),
-            1,
-        )
-
-
-def test_poly_validation():
-    with pytest.raises(ValueError):
-        Poly(2, ((((0, 0)), 1), ((0, 0), 2)))  # duplicate monomial
-    with pytest.raises(MixedFieldError):
-        Poly(2, (((0, 0), quad(1, 1, 2)),))  # quadratic coeff needs dims 1
-    p = Poly(2, (((1, 2), 3), ((0, 0), -1)))
-    assert p.evaluate((2, 3)) == 3 * 2 * 9 - 1
-
-
-def test_multirec_degeneracy_pinned():
-    one = Poly.constant(1, 2)
-    F = MultiRecurrence(((one, (5, 6)), (one, (10, 3))), 2)
-    v = multirec_degenerate(F, 3)
-    assert v.degenerate and v.witness == (1, 2, (1, 1))
-    # 2^a 3^b = 3^a 2^b at a = b: degenerate despite looking skew
-    G = MultiRecurrence(((one, (2, 3)), (one, (3, 2))), 2)
-    v = multirec_degenerate(G, 5)
-    assert v.degenerate and v.witness == (1, 2, (1, 1))
-    H = MultiRecurrence(((one, (2, 3)),), 2)
-    assert not multirec_degenerate(H, 5).degenerate
-    K = MultiRecurrence(((one, (2, 3)), (one, (5, 7))), 2)
-    assert not multirec_degenerate(K, 4).degenerate
-
-
-def test_multirec_degeneracy_witness_verifies():
-    one = Poly.constant(1, 2)
-    F = MultiRecurrence(((one, (5, 6)), (one, (10, 3))), 2)
-    i, j, vec = multirec_degenerate(F, 3).witness
-    bi = F.terms[i - 1][1]
-    bj = F.terms[j - 1][1]
-    left = Fraction(1)
-    right = Fraction(1)
-    for b, e in zip(bi, vec):
-        left *= Fraction(b) ** e
-    for b, e in zip(bj, vec):
-        right *= Fraction(b) ** e
-    assert left == right

@@ -279,6 +279,8 @@ def test_schlickewei_validation():
         schlickewei_bound(1, [-1], 2)
     with pytest.raises(ValueError):
         schlickewei_bound(1, [1], 0)
+    with pytest.raises(SearchBudgetError, match="20829312 bits"):
+        schlickewei_bound(3, [6], 2)  # refused before any power is taken
 
 
 def test_digit_count_matches_str():
