@@ -8,130 +8,96 @@ coordinate sets, with the counting bound that controls the finiteness
 statements.
 """
 
-from .errors import (
-    InvariantViolationError,
-    MixedFieldError,
-    NotSquarefreeError,
-    PellsumError,
-    RepeatedRootError,
-    TooManyIndicesError,
-    TupleTooLargeError,
-    UnknownRemarkError,
-    UnsupportedOrderError,
-)
-from .fixtures import FixtureReport, verify_remark
-from .normform import (
-    NormFormProblem,
-    NormFormSolutions,
-    SolutionOrbit,
-    UnitPowerForm,
-    coordinate_set,
-    solution_classes,
-    solutions_within,
-    unit_power_form,
-)
-from .partitions import bell_number, set_partitions
-from .pell import PellData, continued_fraction_sqrt, pell_data
-from .quadfield import QuadNum, is_squarefree, quad, squarefree_decompose, value_equal
-from .recurrences import (
-    BinetForm,
-    DegeneracyVerdict,
-    DependenceVerdict,
-    LinearRecurrence,
-    binet,
-    characteristic_roots,
-    is_degenerate,
-    root_of_unity_order,
-    roots_multiplicatively_independent,
-    terms_up_to,
-)
-from .search import (
-    PairHit,
-    PartitionReport,
-    RecurrenceHypotheses,
-    SearchReport,
-    SUnitHit,
-    audit_hypotheses,
-    coordinate_index,
-    describe_bound,
-    digit_count,
-    pair_sum_search,
-    partition_analysis,
-    schlickewei_bound,
-    sunit_sum_search,
-    vanishing_pair_sums,
-)
-from .sunits import (
-    SPrimeSet,
-    SubsumCertificate,
-    SUnit,
-    enumerate_sunits,
-    is_prime,
-    subsums_nonvanishing,
-    sunit_from_rational,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinetForm",
-    "DegeneracyVerdict",
-    "DependenceVerdict",
-    "FixtureReport",
-    "InvariantViolationError",
-    "LinearRecurrence",
-    "MixedFieldError",
-    "NormFormProblem",
-    "NormFormSolutions",
-    "NotSquarefreeError",
-    "PairHit",
-    "PartitionReport",
-    "PellData",
-    "PellsumError",
-    "QuadNum",
-    "RecurrenceHypotheses",
-    "RepeatedRootError",
-    "SPrimeSet",
-    "SUnit",
-    "SUnitHit",
-    "SearchReport",
-    "SolutionOrbit",
-    "SubsumCertificate",
-    "TooManyIndicesError",
-    "TupleTooLargeError",
-    "UnitPowerForm",
-    "UnknownRemarkError",
-    "UnsupportedOrderError",
-    "audit_hypotheses",
-    "bell_number",
-    "binet",
-    "characteristic_roots",
-    "continued_fraction_sqrt",
-    "coordinate_index",
-    "coordinate_set",
-    "describe_bound",
-    "digit_count",
-    "enumerate_sunits",
-    "is_degenerate",
-    "is_prime",
-    "is_squarefree",
-    "pair_sum_search",
-    "partition_analysis",
-    "pell_data",
-    "quad",
-    "root_of_unity_order",
-    "roots_multiplicatively_independent",
-    "schlickewei_bound",
-    "set_partitions",
-    "solution_classes",
-    "solutions_within",
-    "squarefree_decompose",
-    "subsums_nonvanishing",
-    "sunit_from_rational",
-    "sunit_sum_search",
-    "terms_up_to",
-    "unit_power_form",
-    "value_equal",
-    "vanishing_pair_sums",
-    "verify_remark",
-]
+# Each public name and the layer that defines it. A layer is imported the
+# first time one of its names is read (PEP 562), so a program, or a CLI job,
+# that needs only the Pell layer never compiles the searches.
+_LAYER_NAMES = {
+    "errors": (
+        "InvariantViolationError",
+        "MixedFieldError",
+        "NotSquarefreeError",
+        "PellsumError",
+        "RepeatedRootError",
+        "TooManyIndicesError",
+        "TupleTooLargeError",
+        "UnknownRemarkError",
+        "UnsupportedOrderError",
+    ),
+    "fixtures": ("FixtureReport", "verify_remark"),
+    "normform": (
+        "NormFormProblem",
+        "NormFormSolutions",
+        "SolutionOrbit",
+        "UnitPowerForm",
+        "coordinate_set",
+        "solution_classes",
+        "unit_power_form",
+    ),
+    "partitions": ("bell_number", "set_partitions"),
+    "pell": ("PellData", "continued_fraction_sqrt", "pell_data"),
+    "quadfield": (
+        "QuadNum",
+        "is_squarefree",
+        "quad",
+        "squarefree_decompose",
+        "value_equal",
+    ),
+    "recurrences": (
+        "BinetForm",
+        "DegeneracyVerdict",
+        "DependenceVerdict",
+        "LinearRecurrence",
+        "binet",
+        "characteristic_roots",
+        "is_degenerate",
+        "root_of_unity_order",
+        "roots_multiplicatively_independent",
+        "terms_up_to",
+    ),
+    "search": (
+        "PairHit",
+        "PartitionReport",
+        "RecurrenceHypotheses",
+        "SearchReport",
+        "SUnitHit",
+        "audit_hypotheses",
+        "coordinate_index",
+        "describe_bound",
+        "digit_count",
+        "pair_sum_search",
+        "partition_analysis",
+        "schlickewei_bound",
+        "sunit_sum_search",
+        "vanishing_pair_sums",
+    ),
+    "sunits": (
+        "SPrimeSet",
+        "SubsumCertificate",
+        "SUnit",
+        "enumerate_sunits",
+        "is_prime",
+        "subsums_nonvanishing",
+        "sunit_from_rational",
+    ),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
+
+__all__ = sorted(_LAYER_OF)
+
+
+def __getattr__(name: str):
+    try:
+        layer = _LAYER_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{layer}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _LAYER_OF.keys())

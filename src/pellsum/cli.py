@@ -8,6 +8,10 @@ time, output path), so reruns produce byte-identical documents.
 
 Exit codes: 0 on success, 1 on usage or domain errors, 2 when an internal
 cross-check fails.
+
+The search, S-unit, recurrence, partition and fixture layers are imported
+inside the handlers that use them, so a job that needs only the Pell layer
+(`pell`, `solve-norm`, `coords`, `--version`) starts without loading them.
 """
 
 from __future__ import annotations
@@ -20,23 +24,9 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import InvariantViolationError, PellsumError
-from .fixtures import verify_remark
 from .normform import NormFormProblem, coordinate_set, solution_classes
-from .partitions import bell_number
 from .pell import continued_fraction_sqrt, pell_data
 from .quadfield import QuadNum, quad
-from .recurrences import LinearRecurrence, binet, terms_up_to
-from .search import (
-    audit_hypotheses,
-    describe_bound,
-    digit_count,
-    pair_sum_search,
-    partition_analysis,
-    schlickewei_bound,
-    sunit_sum_search,
-    vanishing_pair_sums,
-)
-from .sunits import SPrimeSet
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,7 +72,7 @@ def _csv_ints(text: str) -> list[int]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _rec_config(rec: LinearRecurrence) -> dict:
+def _rec_config(rec) -> dict:
     return {"coeffs": list(rec.coeffs), "initials": list(rec.initials)}
 
 
@@ -275,6 +265,8 @@ def _cmd_coords(args):
 
 
 def _cmd_recur(args):
+    from .recurrences import LinearRecurrence, terms_up_to
+
     rec = LinearRecurrence.from_literal(args.rec)
     terms = terms_up_to(rec, args.n)
     config = {"subcommand": "recur", "rec": _rec_config(rec), "n": args.n}
@@ -285,6 +277,8 @@ def _cmd_recur(args):
 
 
 def _cmd_binet(args):
+    from .recurrences import LinearRecurrence, binet
+
     rec = LinearRecurrence.from_literal(args.rec)
     form = binet(rec)
     first_terms = [form.term(n) for n in range(11)]
@@ -305,6 +299,9 @@ def _cmd_binet(args):
 
 
 def _cmd_hypotheses(args):
+    from .recurrences import LinearRecurrence
+    from .search import audit_hypotheses
+
     rec = LinearRecurrence.from_literal(args.rec)
     hyp = audit_hypotheses(rec, args.exp_bound)
     config = {
@@ -329,6 +326,9 @@ def _cmd_hypotheses(args):
 
 
 def _cmd_pairs_search(args):
+    from .recurrences import LinearRecurrence
+    from .search import pair_sum_search
+
     rec = LinearRecurrence.from_literal(args.rec)
     problem = NormFormProblem(args.d, args.m)
     report = pair_sum_search(rec, problem, args.n, args.bound)
@@ -345,6 +345,9 @@ def _cmd_pairs_search(args):
 
 
 def _cmd_sunit_search(args):
+    from .search import sunit_sum_search
+    from .sunits import SPrimeSet
+
     basis = SPrimeSet(tuple(_csv_ints(args.primes)))
     problem = NormFormProblem(args.d, args.m)
     report = sunit_sum_search(basis, args.t, args.exp_bound, problem, args.bound)
@@ -362,6 +365,9 @@ def _cmd_sunit_search(args):
 
 
 def _cmd_vanishing(args):
+    from .recurrences import LinearRecurrence
+    from .search import vanishing_pair_sums
+
     rec = LinearRecurrence.from_literal(args.rec)
     hits = vanishing_pair_sums(rec, args.n)
     config = {"subcommand": "vanishing", "rec": _rec_config(rec), "n": args.n}
@@ -381,10 +387,12 @@ def _cmd_vanishing(args):
 
 
 def _cmd_bound(args):
+    from .search import describe_bound, digit_count, schlickewei_bound
+
     degrees = _csv_ints(args.degrees)
     value = schlickewei_bound(args.s, degrees, args.field_degree)
     digits = digit_count(value)
-    shown = describe_bound(value)
+    shown = describe_bound(value, digits=digits)
     config = {
         "subcommand": "bound",
         "s": args.s,
@@ -401,6 +409,9 @@ def _cmd_bound(args):
 
 
 def _cmd_partitions(args):
+    from .partitions import bell_number
+    from .search import partition_analysis
+
     bases = [parse_base(part) for part in args.bases.split(",")]
     reports = partition_analysis(bases, args.exp_bound)
     config = {
@@ -435,6 +446,8 @@ def _cmd_partitions(args):
 
 
 def _cmd_verify_remark(args):
+    from .fixtures import verify_remark
+
     report = verify_remark(args.id, args.n)
     config = {"subcommand": "verify-remark", "id": args.id, "n": args.n}
     results = {

@@ -216,17 +216,6 @@ def coordinate_set(
     return sorted(values)
 
 
-def solutions_within(problem: NormFormProblem, bound: int) -> list[tuple[int, int]]:
-    """All solutions with 0 <= x <= bound, folded to nonnegative pairs.
-
-    Meant for cross-checks against direct scans: bounding x bounds y too.
-    """
-    found: set[tuple[int, int]] = set()
-    for orbit in solution_classes(problem).orbits:
-        found.update(orbit.elements(bound, 1))
-    return sorted(found)
-
-
 @dataclass(frozen=True)
 class UnitPowerForm:
     """One coordinate along a class as c1 * eps^a + c2 * conj(eps)^a.

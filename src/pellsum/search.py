@@ -414,12 +414,15 @@ def schlickewei_bound(dims: int, degrees: list[int], field_degree: int) -> int:
 def digit_count(n: int) -> int:
     """Exact decimal length of |n| without going through str()."""
     n = abs(n)
-    if n == 0:
-        return 1
+    # bit_length * log10(2) is within one of the answer: build that one power
+    # of ten and step it by factors of ten, each a linear-time operation
     d = max(1, int(n.bit_length() * 0.30103))
-    while 10**d <= n:
+    power = 10**d
+    while power <= n:
+        power *= 10
         d += 1
-    while d > 1 and 10 ** (d - 1) > n:
+    while d > 1 and power // 10 > n:
+        power //= 10
         d -= 1
     return d
 
@@ -435,9 +438,16 @@ def _int_str(n: int) -> str:
     return _int_str(hi) + _int_str(lo).zfill(k)
 
 
-def describe_bound(n: int, full_digit_limit: int = 10**4) -> str:
-    """Full decimal rendering when small enough, scientific sketch otherwise."""
-    digits = digit_count(n)
+def describe_bound(
+    n: int, full_digit_limit: int = 10**4, *, digits: int | None = None
+) -> str:
+    """Full decimal rendering when small enough, scientific sketch otherwise.
+
+    digits, when given, must be digit_count(n); a caller that already
+    counted them saves a second count, which dominates for large n.
+    """
+    if digits is None:
+        digits = digit_count(n)
     if digits <= full_digit_limit:
         return _int_str(n)
     lead = _int_str(n // 10 ** (digits - 12))

@@ -15,7 +15,7 @@ from math import isqrt
 from pathlib import Path
 
 from pellsum.fixtures import verify_remark
-from pellsum.normform import NormFormProblem, coordinate_set, solutions_within
+from pellsum.normform import NormFormProblem, coordinate_set
 from pellsum.pell import pell_data
 from pellsum.quadfield import QuadNum, is_squarefree, squarefree_decompose, value_equal
 from pellsum.recurrences import (
@@ -27,6 +27,8 @@ from pellsum.recurrences import (
 )
 from pellsum.search import audit_hypotheses, pair_sum_search, schlickewei_bound, sunit_sum_search
 from pellsum.sunits import SPrimeSet, subsums_nonvanishing
+
+from norm_oracle import solutions_within
 
 ROOT = Path(__file__).resolve().parent.parent
 

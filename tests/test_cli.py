@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -74,6 +75,20 @@ def test_bound_example(capsys):
     doc = json.loads(out)
     assert doc["results"]["value"] == "2199023255552"
     assert doc["results"]["digits"] == 13
+
+
+def test_bound_near_the_bit_budget_keeps_its_bytes(capsys):
+    # 1.5e6 bits, just under BOUND_BIT_BUDGET, so `value` is the scientific
+    # sketch; the digest pins `digits` and `value` together
+    code, out, err = run_main(
+        ["bound", "--s", "3", "--degrees", "4", "--field-degree", "2",
+         "--format=structured"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "b1adf5f746f2e72f69eb479dc65ee97b3a551917eb8e6d38d5689e73682ede1a"
+    )
 
 
 def test_recur_and_binet(capsys):

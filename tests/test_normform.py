@@ -11,12 +11,13 @@ from pellsum.normform import (
     inv_step,
     sign_variants,
     solution_classes,
-    solutions_within,
     step,
     unit_power_form,
 )
 from pellsum.pell import pell_data
 from pellsum.quadfield import QuadNum, is_squarefree, quad
+
+from norm_oracle import solutions_within
 
 
 def brute_solutions(d, m, xmax):

@@ -302,6 +302,7 @@ def test_describe_bound_small_and_large():
     assert "e+" in text and text.endswith("digits)")
     digits = digit_count(huge)
     assert f"({digits} digits)" in text
+    assert describe_bound(huge, digits=digits) == text
     # the rendering helper must agree with str() below the interpreter cap
     n = 1234567890123456789 ** 100
     assert describe_bound(n) == str(n)
