@@ -12,6 +12,10 @@ cross-check fails.
 The search, S-unit, recurrence, partition and fixture layers are imported
 inside the handlers that use them, so a job that needs only the Pell layer
 (`pell`, `solve-norm`, `coords`, `--version`) starts without loading them.
+The records the layers return are plain immutable classes (`_records.py`),
+not dataclasses: importing `dataclasses` pulls in `inspect`, and each
+dataclass compiles its methods with `exec`, which together cost every job
+more start-up time than most of them spend computing.
 """
 
 from __future__ import annotations

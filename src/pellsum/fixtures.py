@@ -11,10 +11,10 @@ disagreements the records themselves document come back in the
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
+from ._records import record
 from .errors import UnknownRemarkError
 from .normform import NormFormProblem, coordinate_set
 from .pell import continued_fraction_sqrt, pell_data
@@ -28,7 +28,7 @@ from .recurrences import (
 )
 from .search import coordinate_index, pair_sum_search
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     """One recomputed claim: what the record says next to what we got."""
 
@@ -38,7 +38,7 @@ class CheckResult:
     computed: str
 
 
-@dataclass(frozen=True)
+@record
 class FixtureReport:
     remark_id: str
     bound: int

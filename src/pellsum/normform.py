@@ -8,16 +8,16 @@ of interest collect absolute values only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from ._records import record
 from .errors import InvariantViolationError
 from .pell import _validate_real_d, pell_data
 from .quadfield import QuadNum, quad
 
 
-@dataclass(frozen=True)
+@record
 class NormFormProblem:
     """x^2 - d y^2 = m with d squarefree > 1 and m a nonzero integer."""
 
@@ -64,7 +64,7 @@ def inv_step(automorph: tuple[int, int], d: int, x: int, y: int) -> tuple[int, i
     return a // 2, b // 2
 
 
-@dataclass(frozen=True)
+@record
 class SolutionOrbit:
     """One class of solutions, folded to nonnegative coordinates.
 
@@ -107,7 +107,7 @@ class SolutionOrbit:
         return sign_variants(self.representative)
 
 
-@dataclass(frozen=True)
+@record
 class NormFormSolutions:
     """Full class decomposition for one problem."""
 
@@ -216,7 +216,7 @@ def coordinate_set(
     return sorted(values)
 
 
-@dataclass(frozen=True)
+@record
 class UnitPowerForm:
     """One coordinate along a class as c1 * eps^a + c2 * conj(eps)^a.
 

@@ -7,11 +7,11 @@ is solvable exactly when the period length is odd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
+from ._records import record
 from .errors import InvariantViolationError, NotSquarefreeError
 from .quadfield import QuadNum, is_squarefree
 
@@ -62,7 +62,7 @@ def icbrt(n: int) -> int:
     return r
 
 
-@dataclass(frozen=True)
+@record
 class PellData:
     """Fundamental data of x^2 - d y^2 = 1 / -1 / 4 for squarefree d > 1.
 

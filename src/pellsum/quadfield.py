@@ -7,10 +7,10 @@ restricts itself to d > 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from ._records import frozen_delattr, frozen_setattr
 from .errors import MixedFieldError, NotSquarefreeError
 
 Rational = int | Fraction
@@ -64,23 +64,46 @@ def _validate_d(d: int) -> None:
         raise NotSquarefreeError(f"d must be squarefree, got {d}")
 
 
-@dataclass(frozen=True)
 class QuadNum:
     """x + y*sqrt(d), exact. Immutable; hashable; equality is componentwise.
 
     Note componentwise equality treats QuadNum(5, 0, 2) and QuadNum(5, 0, 3)
     as distinct even though both denote 5; use value_equal for cross-field
     comparison of values.
+
+    The record methods are written out rather than generated: QuadNum is
+    built, hashed and compared in the arithmetic loops.
     """
 
-    x: Fraction
-    y: Fraction
-    d: int
+    __slots__ = __match_args__ = ("x", "y", "d")
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
+
+    def __init__(self, x: Fraction, y: Fraction, d: int) -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "d", d)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", Fraction(self.x))
         object.__setattr__(self, "y", Fraction(self.y))
         _validate_d(self.d)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(x={self.x!r}, y={self.y!r}, d={self.d!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x, self.y, self.d) == (other.x, other.y, other.d)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y, self.d))
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__; slots reject setattr
+        return self.__class__, (self.x, self.y, self.d)
 
     # -- helpers ---------------------------------------------------------
 

@@ -8,10 +8,10 @@ polynomial splits into integer linear and quadratic factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from ._records import record
 from .errors import InvariantViolationError, RepeatedRootError, UnsupportedOrderError
 from .quadfield import QuadNum, squarefree_decompose, value_equal
 
@@ -24,7 +24,7 @@ def _check_int(value, what: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
+@record
 class LinearRecurrence:
     """U_n = a1*U_{n-1} + ... + ad*U_{n-d} with integer data.
 
@@ -191,7 +191,7 @@ def _split_quartic(p: int, q: int, r: int, s: int):
 # -- order-2 closed form ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class BinetForm:
     """U_n = f1*a1^n + f2*a2^n for an order-2 recurrence with distinct roots."""
 
@@ -250,7 +250,7 @@ def root_of_unity_order(v, kmax: int = 12) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
+@record
 class DegeneracyVerdict:
     degenerate: bool
     unity_order: int | None
@@ -301,7 +301,7 @@ def is_degenerate(rec: LinearRecurrence) -> DegeneracyVerdict:
 # -- multiplicative dependence ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class DependenceVerdict:
     """Outcome of the bounded search for alpha^p * beta^q = 1."""
 

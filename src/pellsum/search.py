@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, prod
 
+from ._records import record
 from .errors import (
     InvariantViolationError,
     SearchBudgetError,
@@ -83,7 +83,7 @@ def _memberships(index, value: int) -> tuple[tuple[int, tuple[int, int]], ...]:
 # -- hypothesis audit -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class RecurrenceHypotheses:
     """The four conditions the pair-sum finiteness statement needs.
 
@@ -142,7 +142,7 @@ def audit_hypotheses(rec: LinearRecurrence, expbound: int = 10) -> RecurrenceHyp
 # -- pair-sum search --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PairHit:
     """U_{n1} + U_{n2} landed in a coordinate set; memberships lists
     (coordinate, witness solution) for every set containing the value."""
@@ -153,7 +153,7 @@ class PairHit:
     memberships: tuple[tuple[int, tuple[int, int]], ...]
 
 
-@dataclass(frozen=True)
+@record
 class SUnitHit:
     entries: tuple[Fraction, ...]
     total: Fraction
@@ -161,7 +161,7 @@ class SUnitHit:
     certificate: SubsumCertificate
 
 
-@dataclass(frozen=True)
+@record
 class SearchReport:
     kind: str
     problem: NormFormProblem
@@ -457,7 +457,7 @@ def describe_bound(
 # -- partition analysis --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PartitionReport:
     """Pairwise dependence evidence inside the blocks of one partition.
 

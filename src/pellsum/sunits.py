@@ -7,11 +7,11 @@ searches over the enumeration report in a fixed order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import product
-from typing import Iterator
 
+from ._records import record
 from .errors import TupleTooLargeError
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -52,7 +52,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class SPrimeSet:
     """Strictly increasing tuple of primes."""
 
@@ -73,7 +73,7 @@ class SPrimeSet:
         return len(self.primes)
 
 
-@dataclass(frozen=True)
+@record
 class SUnit:
     sign: int
     exponents: tuple[int, ...]
@@ -129,7 +129,7 @@ def sunit_from_rational(basis: SPrimeSet, value: Fraction | int) -> SUnit:
     return SUnit(sign, tuple(exps), basis)
 
 
-@dataclass(frozen=True)
+@record
 class SubsumCertificate:
     """Verdict that every nonempty subsum of a tuple is nonzero.
 

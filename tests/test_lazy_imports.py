@@ -1,7 +1,9 @@
 """Layers load on first use: the package re-exports lazily, the CLI per job.
 
 The import-boundary tests run each command in a fresh interpreter, because
-this test process has already imported every layer.
+this test process has already imported every layer. The probe also reports
+`dataclasses` and `inspect`, which no job needs: importing them costs more
+start-up time than most jobs spend computing.
 """
 
 import importlib
@@ -24,7 +26,9 @@ try:
     code = pellsum.cli.main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("pellsum."))]))
+print(json.dumps([code, sorted(
+    m for m in sys.modules if m.startswith("pellsum.") or m in ("dataclasses", "inspect")
+)]))
 """
 
 
@@ -37,7 +41,7 @@ def loaded_layers(argv):
     assert run.returncode == 0, run.stderr
     code, modules = json.loads(run.stdout.splitlines()[-1])
     assert code == 0, (argv, code)
-    return {name.split(".", 1)[1] for name in modules}
+    return {name.removeprefix("pellsum.") for name in modules}
 
 
 @pytest.mark.parametrize(
@@ -60,6 +64,29 @@ def test_recurrence_jobs_load_no_search_layer(argv):
     loaded = loaded_layers(argv)
     assert loaded & {"search", "sunits", "fixtures"} == set()
     assert "recurrences" in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--version"],
+        ["pell", "--d=13"],
+        ["solve-norm", "--d=13", "--m=4"],
+        ["coords", "--d=13", "--m=4", "--coord=1", "--bound=1000"],
+        ["recur", "--rec=1,1;0,1", "--n=30"],
+        ["binet", "--rec=1,1;0,1"],
+        ["hypotheses", "--rec=1,1;0,1", "--exp-bound=3"],
+        ["pairs-search", "--rec=1,1;0,1", "--d=13", "--m=4", "--n=20", "--bound=1000"],
+        ["sunit-search", "--primes=2,3", "--t=2", "--exp-bound=1", "--d=13", "--m=4",
+         "--bound=100"],
+        ["vanishing", "--rec=2,-2;1,1", "--n=10"],
+        ["bound", "--s=2", "--degrees=2", "--field-degree=2"],
+        ["partitions", "--bases=2,4,3+2*sqrt(2)", "--exp-bound=3"],
+        ["verify-remark", "--id=2.3", "--n=50"],
+    ],
+)
+def test_no_job_imports_dataclasses_or_inspect(argv):
+    assert loaded_layers(argv) & {"dataclasses", "inspect"} == set()
 
 
 def test_importing_the_package_loads_no_layer():
