@@ -20,16 +20,19 @@ ROOT = Path(__file__).resolve().parent.parent
 JOBS_PER_POOL = 5
 
 
-def _pools():
+def pinned_jobs():
+    """Yield ("workload/pool", the pool's first JOBS_PER_POOL pinned entries)."""
     catalog = json.loads((ROOT / "perfbench" / "catalog.json").read_text(encoding="utf-8"))
     for workload, pools in catalog["workloads"].items():
         for pool, entries in pools.items():
             pinned = [entry for entry in entries if "sha256" in entry][:JOBS_PER_POOL]
             if pinned:
-                yield pytest.param(pinned, id=f"{workload}/{pool}")
+                yield f"{workload}/{pool}", pinned
 
 
-@pytest.mark.parametrize("entries", _pools())
+@pytest.mark.parametrize(
+    "entries", [pytest.param(entries, id=name) for name, entries in pinned_jobs()]
+)
 def test_pinned_jobs_replay_their_bytes(entries, capsys):
     mismatches = []
     # cli.main lifts the interpreter's int-to-str digit cap for the process
