@@ -22,6 +22,7 @@ _LAYER_NAMES = {
         "NotSquarefreeError",
         "PellsumError",
         "RepeatedRootError",
+        "SearchBudgetError",
         "TooManyIndicesError",
         "TupleTooLargeError",
         "UnknownRemarkError",

@@ -9,6 +9,14 @@ time, output path), so reruns produce byte-identical documents.
 Exit codes: 0 on success, 1 on usage or domain errors, 2 when an internal
 cross-check fails.
 
+Each subcommand is declared once, in build_parser: its flags and, as the
+parser's `handler` default, the function that runs it. The document's
+config is built from the parsed flags: the subcommand and every flag but
+--out and --format, keyed by its argparse dest. A handler returns
+(inputs, results, lines): inputs holds the parsed form of the string flags
+(--rec, --primes, --degrees, --bases) for config, results the document's
+results, and lines the text summary, printed in order.
+
 The search, S-unit, recurrence, partition and fixture layers are imported
 inside the handlers that use them, so a job that needs only the Pell layer
 (`pell`, `solve-norm`, `coords`, `--version`) starts without loading them.
@@ -152,7 +160,7 @@ def _search_json(report) -> dict:
     return out
 
 
-def _search_summary(report) -> tuple[list[str], list[str]]:
+def _search_summary(report) -> list[str]:
     lines = [
         f"{report.kind} search over x^2 - {report.problem.d}*y^2 = {report.problem.m}",
         "bounds: " + ", ".join(f"{name} = {value}" for name, value in report.bounds),
@@ -180,17 +188,18 @@ def _search_summary(report) -> tuple[list[str], list[str]]:
             lines.append(f"finiteness hypotheses {verdict}")
         elif report.hypotheses_note:
             lines.append(report.hypotheses_note)
-    return lines, [f"wall time {report.wall_time:.3f}s"]
+    lines.append(f"wall time {report.wall_time:.3f}s")
+    return lines
 
 
 # -- subcommand handlers ----------------------------------------------------
-# each returns (config, results, summary_lines, volatile_lines)
+# each returns (inputs, results, lines); the module docstring says what
+# each part holds
 
 
 def _cmd_pell(args):
     data = pell_data(args.d)
     a0, digits = continued_fraction_sqrt(args.d)
-    config = {"subcommand": "pell", "d": args.d}
     results = {
         "d": args.d,
         "a0": a0,
@@ -212,13 +221,12 @@ def _cmd_pell(args):
         f"minimal automorph t^2 - {args.d}*u^2 = 4: {data.automorph}"
         f", unit {data.unit()}",
     ]
-    return config, results, lines, []
+    return {}, results, lines
 
 
 def _cmd_solve_norm(args):
     problem = NormFormProblem(args.d, args.m)
     sol = solution_classes(problem)
-    config = {"subcommand": "solve-norm", "d": args.d, "m": args.m}
     results = {
         "d": args.d,
         "m": args.m,
@@ -242,7 +250,7 @@ def _cmd_solve_norm(args):
         lines.append(
             f"  representative {orbit.representative}, automorph {orbit.automorph}"
         )
-    return config, results, lines, []
+    return {}, results, lines
 
 
 def _cmd_coords(args):
@@ -250,14 +258,6 @@ def _cmd_coords(args):
     values = coordinate_set(
         problem, args.coord, args.bound, include_trivial=args.include_trivial
     )
-    config = {
-        "subcommand": "coords",
-        "d": args.d,
-        "m": args.m,
-        "coord": args.coord,
-        "bound": args.bound,
-        "include_trivial": args.include_trivial,
-    }
     results = {"count": len(values), "values": values}
     shown = ", ".join(map(str, values[:25])) + (", ..." if len(values) > 25 else "")
     lines = [
@@ -265,7 +265,7 @@ def _cmd_coords(args):
         + (" (trivial solutions included)" if args.include_trivial else ""),
         f"{len(values)} value(s): {shown}" if values else "no values",
     ]
-    return config, results, lines, []
+    return {}, results, lines
 
 
 def _cmd_recur(args):
@@ -273,11 +273,10 @@ def _cmd_recur(args):
 
     rec = LinearRecurrence.from_literal(args.rec)
     terms = terms_up_to(rec, args.n)
-    config = {"subcommand": "recur", "rec": _rec_config(rec), "n": args.n}
     results = {"order": rec.order, "terms": terms}
     shown = ", ".join(map(str, terms[:15])) + (", ..." if len(terms) > 15 else "")
     lines = [f"order {rec.order}, terms U_0 .. U_{args.n}: {shown}"]
-    return config, results, lines, []
+    return {"rec": _rec_config(rec)}, results, lines
 
 
 def _cmd_binet(args):
@@ -286,7 +285,6 @@ def _cmd_binet(args):
     rec = LinearRecurrence.from_literal(args.rec)
     form = binet(rec)
     first_terms = [form.term(n) for n in range(11)]
-    config = {"subcommand": "binet", "rec": _rec_config(rec)}
     results = {
         "discriminant": form.discriminant,
         "roots": [str(root) for root in form.roots],
@@ -299,7 +297,7 @@ def _cmd_binet(args):
         f"U_n = ({form.coeffs[0]}) * alpha^n + ({form.coeffs[1]}) * beta^n",
         "first terms: " + ", ".join(map(str, first_terms)),
     ]
-    return config, results, lines, []
+    return {"rec": _rec_config(rec)}, results, lines
 
 
 def _cmd_hypotheses(args):
@@ -308,11 +306,6 @@ def _cmd_hypotheses(args):
 
     rec = LinearRecurrence.from_literal(args.rec)
     hyp = audit_hypotheses(rec, args.exp_bound)
-    config = {
-        "subcommand": "hypotheses",
-        "rec": _rec_config(rec),
-        "exp_bound": args.exp_bound,
-    }
     results = _hypotheses_json(hyp)
     flags = [
         ("nondegenerate", hyp.nondegenerate),
@@ -326,7 +319,7 @@ def _cmd_hypotheses(args):
     )
     if not hyp.nondegenerate:
         lines.insert(0, hyp.degeneracy.detail)
-    return config, results, lines, []
+    return {"rec": _rec_config(rec)}, results, lines
 
 
 def _cmd_pairs_search(args):
@@ -335,17 +328,8 @@ def _cmd_pairs_search(args):
 
     rec = LinearRecurrence.from_literal(args.rec)
     problem = NormFormProblem(args.d, args.m)
-    report = pair_sum_search(rec, problem, args.n, args.bound)
-    config = {
-        "subcommand": "pairs-search",
-        "rec": _rec_config(rec),
-        "d": args.d,
-        "m": args.m,
-        "index_bound": args.n,
-        "coord_bound": args.bound,
-    }
-    lines, volatile = _search_summary(report)
-    return config, _search_json(report), lines, volatile
+    report = pair_sum_search(rec, problem, args.index_bound, args.coord_bound)
+    return {"rec": _rec_config(rec)}, _search_json(report), _search_summary(report)
 
 
 def _cmd_sunit_search(args):
@@ -354,18 +338,10 @@ def _cmd_sunit_search(args):
 
     basis = SPrimeSet(tuple(_csv_ints(args.primes)))
     problem = NormFormProblem(args.d, args.m)
-    report = sunit_sum_search(basis, args.t, args.exp_bound, problem, args.bound)
-    config = {
-        "subcommand": "sunit-search",
-        "primes": list(basis.primes),
-        "tuple_size": args.t,
-        "exp_bound": args.exp_bound,
-        "d": args.d,
-        "m": args.m,
-        "coord_bound": args.bound,
-    }
-    lines, volatile = _search_summary(report)
-    return config, _search_json(report), lines, volatile
+    report = sunit_sum_search(
+        basis, args.tuple_size, args.exp_bound, problem, args.coord_bound
+    )
+    return {"primes": list(basis.primes)}, _search_json(report), _search_summary(report)
 
 
 def _cmd_vanishing(args):
@@ -374,7 +350,6 @@ def _cmd_vanishing(args):
 
     rec = LinearRecurrence.from_literal(args.rec)
     hits = vanishing_pair_sums(rec, args.n)
-    config = {"subcommand": "vanishing", "rec": _rec_config(rec), "n": args.n}
     results = {
         "count": len(hits),
         "hits": [
@@ -387,29 +362,23 @@ def _cmd_vanishing(args):
         lines.append(f"  (n1, n2) = ({n1}, {n2}), {part}")
     if len(hits) > 20:
         lines.append(f"  ... {len(hits) - 20} more")
-    return config, results, lines, []
+    return {"rec": _rec_config(rec)}, results, lines
 
 
 def _cmd_bound(args):
-    from .search import describe_bound, digit_count, schlickewei_bound
+    from .search import FULL_DIGIT_LIMIT, describe_bound, digit_count, schlickewei_bound
 
     degrees = _csv_ints(args.degrees)
     value = schlickewei_bound(args.s, degrees, args.field_degree)
     digits = digit_count(value)
     shown = describe_bound(value, digits=digits)
-    config = {
-        "subcommand": "bound",
-        "s": args.s,
-        "degrees": degrees,
-        "field_degree": args.field_degree,
-    }
     results = {"digits": digits, "value": shown}
     lines = [
         f"bound for {args.s} variable(s), degrees {degrees}, "
         f"field degree {args.field_degree}:",
-        f"  {shown}" + (f" ({digits} digits)" if digits <= 10**4 else ""),
+        f"  {shown}" + (f" ({digits} digits)" if digits <= FULL_DIGIT_LIMIT else ""),
     ]
-    return config, results, lines, []
+    return {"degrees": degrees}, results, lines
 
 
 def _cmd_partitions(args):
@@ -418,11 +387,6 @@ def _cmd_partitions(args):
 
     bases = [parse_base(part) for part in args.bases.split(",")]
     reports = partition_analysis(bases, args.exp_bound)
-    config = {
-        "subcommand": "partitions",
-        "bases": [str(base) for base in bases],
-        "exp_bound": args.exp_bound,
-    }
     results = {
         "bell": bell_number(len(bases)),
         "partition_count": len(reports),
@@ -446,14 +410,13 @@ def _cmd_partitions(args):
             lines.append(
                 f"    bases {i} and {j}: alpha^{witness[0]} * beta^{witness[1]} = 1"
             )
-    return config, results, lines, []
+    return {"bases": [str(base) for base in bases]}, results, lines
 
 
 def _cmd_verify_remark(args):
     from .fixtures import verify_remark
 
     report = verify_remark(args.id, args.n)
-    config = {"subcommand": "verify-remark", "id": args.id, "n": args.n}
     results = {
         "id": report.remark_id,
         "bound": report.bound,
@@ -483,29 +446,13 @@ def _cmd_verify_remark(args):
         if report.agreement
         else "agreement: NO, see DIFF lines"
     )
-    return config, results, lines, []
-
-
-_HANDLERS = {
-    "pell": _cmd_pell,
-    "solve-norm": _cmd_solve_norm,
-    "coords": _cmd_coords,
-    "recur": _cmd_recur,
-    "binet": _cmd_binet,
-    "hypotheses": _cmd_hypotheses,
-    "pairs-search": _cmd_pairs_search,
-    "sunit-search": _cmd_sunit_search,
-    "vanishing": _cmd_vanishing,
-    "bound": _cmd_bound,
-    "partitions": _cmd_partitions,
-    "verify-remark": _cmd_verify_remark,
-}
+    return {}, results, lines
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="pellsum", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"pellsum {__version__}")
-    sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND", parser_class=_Parser)
+    sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND", parser_class=_Parser)
     sub.required = True
 
     common = argparse.ArgumentParser(add_help=False)
@@ -516,74 +463,72 @@ def build_parser() -> _Parser:
         default="text",
         help="stdout format (default text)",
     )
+    rec = argparse.ArgumentParser(add_help=False)
+    rec.add_argument("--rec", required=True)
+    norm = argparse.ArgumentParser(add_help=False)
+    norm.add_argument("--d", type=int, required=True)
+    norm.add_argument("--m", type=int, required=True)
 
-    p = sub.add_parser("pell", parents=[common],
-                       help="continued fraction and fundamental solutions for sqrt(d)")
+    def add(name, handler, help, parents=()):
+        p = sub.add_parser(name, parents=[common, *parents], help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = add("pell", _cmd_pell, "continued fraction and fundamental solutions for sqrt(d)")
     p.add_argument("--d", type=int, required=True)
 
-    p = sub.add_parser("solve-norm", parents=[common],
-                       help="solution classes of x^2 - d*y^2 = m")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    add("solve-norm", _cmd_solve_norm, "solution classes of x^2 - d*y^2 = m", [norm])
 
-    p = sub.add_parser("coords", parents=[common],
-                       help="coordinate set X1 or X2 up to a bound")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p = add("coords", _cmd_coords, "coordinate set X1 or X2 up to a bound", [norm])
     p.add_argument("--coord", type=int, choices=(1, 2), required=True)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--include-trivial", action="store_true")
 
-    p = sub.add_parser("recur", parents=[common],
-                       help="terms of a recurrence given as 'a1,..,ad;U0,..,U(d-1)'")
-    p.add_argument("--rec", required=True)
+    p = add("recur", _cmd_recur,
+            "terms of a recurrence given as 'a1,..,ad;U0,..,U(d-1)'", [rec])
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("binet", parents=[common],
-                       help="exact closed form of an order-2 recurrence")
-    p.add_argument("--rec", required=True)
+    add("binet", _cmd_binet, "exact closed form of an order-2 recurrence", [rec])
 
-    p = sub.add_parser("hypotheses", parents=[common],
-                       help="audit the finiteness hypotheses for a recurrence")
-    p.add_argument("--rec", required=True)
+    p = add("hypotheses", _cmd_hypotheses,
+            "audit the finiteness hypotheses for a recurrence", [rec])
     p.add_argument("--exp-bound", type=int, default=10)
 
-    p = sub.add_parser("pairs-search", parents=[common],
-                       help="pairs U_n1 + U_n2 landing in a coordinate set")
-    p.add_argument("--rec", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True, help="index bound")
-    p.add_argument("--bound", type=int, required=True, help="coordinate value bound")
+    p = add("pairs-search", _cmd_pairs_search,
+            "pairs U_n1 + U_n2 landing in a coordinate set", [rec, norm])
+    p.add_argument("--n", dest="index_bound", metavar="N", type=int, required=True,
+                   help="index bound")
+    p.add_argument("--bound", dest="coord_bound", metavar="BOUND", type=int,
+                   required=True, help="coordinate value bound")
 
-    p = sub.add_parser("sunit-search", parents=[common],
-                       help="S-unit tuples whose sum lands in a coordinate set")
+    p = add("sunit-search", _cmd_sunit_search,
+            "S-unit tuples whose sum lands in a coordinate set")
     p.add_argument("--primes", required=True, help="comma-separated primes")
-    p.add_argument("--t", type=int, required=True, help="tuple size (1..4)")
+    p.add_argument("--t", dest="tuple_size", metavar="T", type=int, required=True,
+                   help="tuple size (1..4)")
     p.add_argument("--exp-bound", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True, help="coordinate value bound")
+    p.add_argument("--bound", dest="coord_bound", metavar="BOUND", type=int,
+                   required=True, help="coordinate value bound")
 
-    p = sub.add_parser("vanishing", parents=[common],
-                       help="vanishing subsums of pair sums of an order-2 recurrence")
-    p.add_argument("--rec", required=True)
+    p = add("vanishing", _cmd_vanishing,
+            "vanishing subsums of pair sums of an order-2 recurrence", [rec])
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("bound", parents=[common],
-                       help="counting bound for unit equations")
+    p = add("bound", _cmd_bound, "counting bound for unit equations")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--degrees", required=True, help="comma-separated degrees")
     p.add_argument("--field-degree", type=int, required=True)
 
-    p = sub.add_parser("partitions", parents=[common],
-                       help="pairwise dependence across all index partitions")
+    p = add("partitions", _cmd_partitions,
+            "pairwise dependence across all index partitions")
     p.add_argument("--bases", required=True,
                    help="comma-separated values like '3+2*sqrt(2),3-2*sqrt(2)'")
     p.add_argument("--exp-bound", type=int, required=True)
 
-    p = sub.add_parser("verify-remark", parents=[common],
-                       help="replay one recorded example against recomputation")
+    p = add("verify-remark", _cmd_verify_remark,
+            "replay one recorded example against recomputation")
     p.add_argument("--id", required=True)
     p.add_argument("--n", type=int, required=True)
 
@@ -603,7 +548,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config, results, lines, volatile = _HANDLERS[args.command](args)
+        inputs, results, lines = args.handler(args)
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
@@ -611,7 +556,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    doc = {"version": __version__, "config": config, "results": results}
+    config = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("handler", "out", "format")
+    }
+    doc = {"version": __version__, "config": {**config, **inputs}, "results": results}
     text = _canonical(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -620,8 +570,6 @@ def main(argv=None) -> int:
         sys.stdout.write(text)
     else:
         for line in lines:
-            print(line)
-        for line in volatile:
             print(line)
         if args.out:
             print(f"report written to {args.out}")

@@ -11,8 +11,8 @@ disagreements the records themselves document come back in the
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
-from importlib import resources
 
 from ._records import record
 from .errors import UnknownRemarkError
@@ -60,12 +60,25 @@ def load_fixture(remark_id: str) -> dict:
         raise UnknownRemarkError(
             f"unknown fixture id {remark_id!r}; shipped ids are {known}"
         ) from None
-    path = resources.files("pellsum").joinpath("fixtures", filename)
-    return json.loads(path.read_text(encoding="utf-8"))
+    # a plain path next to this module: importlib.resources would load
+    # typing, tempfile and zipfile on every verify-remark job
+    path = os.path.join(os.path.dirname(__file__), "fixtures", filename)
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def _check(name: str, passed: bool, expected: object, computed: object) -> CheckResult:
     return CheckResult(name, bool(passed), str(expected), str(computed))
+
+
+def _pell_check(name: str, d: int, stated: dict) -> CheckResult:
+    """Compare the Pell data of d with the keys the record states, in its order."""
+    data = pell_data(d)
+    a0, period = continued_fraction_sqrt(d)
+    values = {"a0": a0, "period": period, "fundamental": list(data.fundamental),
+              "negative": list(data.negative), "automorph": list(data.automorph)}
+    computed = {key: values[key] for key in stated}
+    return _check(name, computed == stated, stated, computed)
 
 
 def _quadnum_from(record: dict) -> QuadNum:
@@ -101,19 +114,7 @@ def _verify_2_3(data: dict, bound: int) -> list[CheckResult]:
     checks.append(_check("x2 prefix", x2 == data["x2"]["values"],
                          data["x2"]["values"], x2))
 
-    pd = pell_data(problem.d)
-    a0, digits = continued_fraction_sqrt(problem.d)
-    rec_pell = data["pell"]
-    pell_ok = (a0 == rec_pell["a0"]
-               and digits == rec_pell["period"]
-               and pd.fundamental == tuple(rec_pell["fundamental"])
-               and pd.negative == tuple(rec_pell["negative"])
-               and pd.automorph == tuple(rec_pell["automorph"]))
-    checks.append(_check("continued fraction and units", pell_ok,
-                         rec_pell, {"a0": a0, "period": digits,
-                                    "fundamental": list(pd.fundamental),
-                                    "negative": list(pd.negative),
-                                    "automorph": list(pd.automorph)}))
+    checks.append(_pell_check("continued fraction and units", problem.d, data["pell"]))
 
     # Recorded claim: in orbit order, every third value is even and the
     # rest are odd, in both coordinate sets.
@@ -203,15 +204,8 @@ def _verify_2_5(data: dict, bound: int) -> list[CheckResult]:
                          {"dependent": verdict.dependent,
                           "witness": verdict.witness}))
 
-    pd = pell_data(problem.d)
-    rec_pell = data["pell"]
-    pell_ok = (pd.fundamental == tuple(rec_pell["fundamental"])
-               and pd.negative == tuple(rec_pell["negative"])
-               and pd.automorph == tuple(rec_pell["automorph"]))
-    checks.append(_check("fundamental solution and automorph", pell_ok,
-                         rec_pell, {"fundamental": list(pd.fundamental),
-                                    "negative": list(pd.negative),
-                                    "automorph": list(pd.automorph)}))
+    checks.append(_pell_check("fundamental solution and automorph", problem.d,
+                              data["pell"]))
 
     sums = [terms[n] + terms[n + 1] for n in range(bound + 1)]
     index = coordinate_index(problem, max(sums))

@@ -240,10 +240,15 @@ def _power(v, k: int):
     return Fraction(v) ** k
 
 
-def root_of_unity_order(v, kmax: int = 12) -> int | None:
-    """Smallest k <= kmax with v^k = 1, or None."""
+# Highest root-of-unity order tested; 12 covers every root of unity of
+# degree <= 4 (phi(k) <= 4 forces k <= 12).
+MAX_UNITY_ORDER = 12
+
+
+def root_of_unity_order(v) -> int | None:
+    """Smallest k <= MAX_UNITY_ORDER with v^k = 1, or None."""
     acc = v
-    for k in range(1, kmax + 1):
+    for k in range(1, MAX_UNITY_ORDER + 1):
         if value_equal(acc, 1):
             return k
         acc = acc * v
@@ -269,8 +274,8 @@ def is_degenerate(rec: LinearRecurrence) -> DegeneracyVerdict:
     Order 2 is decided by closed coefficient conditions on a = a1, b = a2:
     a = 0 (ratio -1), a^2 = -b (cube root), a^2 = -2b (fourth), a^2 = -3b
     (sixth); a^2 + 4b = 0 means a repeated root (ratio 1), flagged
-    separately. Orders 3-4 fall back to exact ratio powers up to k = 12,
-    which covers every root of unity of degree <= 4.
+    separately. Orders 3-4 fall back to exact ratio powers up to
+    k = MAX_UNITY_ORDER.
     """
     d = rec.order
     if d == 1:
@@ -286,7 +291,7 @@ def is_degenerate(rec: LinearRecurrence) -> DegeneracyVerdict:
                 )
         return DegeneracyVerdict(False, None, False, "no coefficient condition holds")
     roots = characteristic_roots(rec)
-    for k in range(1, 13):
+    for k in range(1, MAX_UNITY_ORDER + 1):
         for i in range(len(roots)):
             for j in range(i + 1, len(roots)):
                 if value_equal(_power(roots[i], k), _power(roots[j], k)):
@@ -295,7 +300,8 @@ def is_degenerate(rec: LinearRecurrence) -> DegeneracyVerdict:
                         f"ratio of roots {i + 1} and {j + 1} is a root of unity of order {k}"
                     )
                     return DegeneracyVerdict(True, k, repeated, what)
-    return DegeneracyVerdict(False, None, False, "no root ratio is a root of unity up to order 12")
+    detail = f"no root ratio is a root of unity up to order {MAX_UNITY_ORDER}"
+    return DegeneracyVerdict(False, None, False, detail)
 
 
 # -- multiplicative dependence ----------------------------------------------

@@ -438,17 +438,19 @@ def _int_str(n: int) -> str:
     return _int_str(hi) + _int_str(lo).zfill(k)
 
 
-def describe_bound(
-    n: int, full_digit_limit: int = 10**4, *, digits: int | None = None
-) -> str:
-    """Full decimal rendering when small enough, scientific sketch otherwise.
+# Longest bound, in decimal digits, that describe_bound writes out in full.
+FULL_DIGIT_LIMIT = 10**4
+
+
+def describe_bound(n: int, *, digits: int | None = None) -> str:
+    """Full decimal rendering up to FULL_DIGIT_LIMIT digits, sketch past it.
 
     digits, when given, must be digit_count(n); a caller that already
     counted them saves a second count, which dominates for large n.
     """
     if digits is None:
         digits = digit_count(n)
-    if digits <= full_digit_limit:
+    if digits <= FULL_DIGIT_LIMIT:
         return _int_str(n)
     lead = _int_str(n // 10 ** (digits - 12))
     return f"{lead[0]}.{lead[1:]}e+{digits - 1} ({digits} digits)"

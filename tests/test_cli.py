@@ -252,7 +252,9 @@ def test_invariant_violation_exits_2(capsys, monkeypatch):
     def explode(args):
         raise InvariantViolationError("cross-check failed")
 
-    monkeypatch.setitem(cli._HANDLERS, "pell", explode)
+    # main builds a fresh parser, which binds the module's handler by name
+    handler = cli.build_parser().parse_args(["pell", "--d", "13"]).handler
+    monkeypatch.setattr(cli, handler.__name__, explode)
     code, out, err = run_main(["pell", "--d", "13"], capsys)
     assert code == 2
     assert "invariant violation" in err

@@ -2,8 +2,9 @@
 
 The import-boundary tests run each command in a fresh interpreter, because
 this test process has already imported every layer. The probe also reports
-`dataclasses` and `inspect`, which no job needs: importing them costs more
-start-up time than most jobs spend computing.
+`dataclasses` and `inspect`, which no job needs, and `importlib.resources`
+and `zipfile`, which `verify-remark` does not need to read its fixtures:
+importing them costs more start-up time than most jobs spend computing.
 """
 
 import importlib
@@ -27,15 +28,17 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps([code, sorted(
-    m for m in sys.modules if m.startswith("pellsum.") or m in ("dataclasses", "inspect")
+    m for m in sys.modules
+    if m.startswith("pellsum.")
+    or m in ("dataclasses", "inspect", "importlib.resources", "zipfile")
 )]))
 """
 
 
-def loaded_layers(argv):
+def loaded_layers(argv, *flags):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run(
-        [sys.executable, "-c", _PROBE, *argv],
+        [sys.executable, *flags, "-c", _PROBE, *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert run.returncode == 0, run.stderr
@@ -89,6 +92,13 @@ def test_no_job_imports_dataclasses_or_inspect(argv):
     assert loaded_layers(argv) & {"dataclasses", "inspect"} == set()
 
 
+def test_verify_remark_reads_fixtures_without_importlib_resources():
+    # -S: a site .pth file may import these modules before any job starts
+    loaded = loaded_layers(["verify-remark", "--id=2.3", "--n=50"], "-S")
+    assert "fixtures" in loaded
+    assert loaded & {"importlib.resources", "zipfile"} == set()
+
+
 def test_importing_the_package_loads_no_layer():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = (
@@ -105,6 +115,16 @@ def test_every_public_name_is_its_defining_modules_object():
         value = getattr(pellsum, name)
         assert value is getattr(importlib.import_module(value.__module__), name), name
     assert set(pellsum.__all__) <= set(dir(pellsum))
+
+
+def test_every_error_class_is_public():
+    from pellsum import errors
+
+    classes = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.PellsumError)
+    }
+    assert classes - set(pellsum.__all__) == set()
 
 
 def test_star_import_binds_every_public_name():
