@@ -9,13 +9,12 @@ time, output path), so reruns produce byte-identical documents.
 Exit codes: 0 on success, 1 on usage or domain errors, 2 when an internal
 cross-check fails.
 
-Each subcommand is declared once, in build_parser: its flags and, as the
-parser's `handler` default, the function that runs it. The document's
-config is built from the parsed flags: the subcommand and every flag but
---out and --format, keyed by its argparse dest. A handler returns
-(inputs, results, lines): inputs holds the parsed form of the string flags
-(--rec, --primes, --degrees, --bases) for config, results the document's
-results, and lines the text summary, printed in order.
+Each subcommand is declared once, in build_parser, with the handler its
+parser dispatches to. main builds the document's config from the parsed
+flags: the subcommand and every dest but --out and --format. A handler
+returns (inputs, results, lines): the parsed form of the string flags
+(--rec, --primes, --degrees, --bases), which replaces their text in
+config; the document's results; and the text summary.
 
 The search, S-unit, recurrence, partition and fixture layers are imported
 inside the handlers that use them, so a job that needs only the Pell layer
@@ -193,8 +192,7 @@ def _search_summary(report) -> list[str]:
 
 
 # -- subcommand handlers ----------------------------------------------------
-# each returns (inputs, results, lines); the module docstring says what
-# each part holds
+# each returns (inputs, results, lines), as the module docstring describes
 
 
 def _cmd_pell(args):
@@ -469,8 +467,8 @@ def build_parser() -> _Parser:
     norm.add_argument("--d", type=int, required=True)
     norm.add_argument("--m", type=int, required=True)
 
-    def add(name, handler, help, parents=()):
-        p = sub.add_parser(name, parents=[common, *parents], help=help)
+    def add(name, handler, summary, parents=()):
+        p = sub.add_parser(name, parents=[common, *parents], help=summary)
         p.set_defaults(handler=handler)
         return p
 
