@@ -554,16 +554,18 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    config = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in ("handler", "out", "format")
-    }
-    doc = {"version": __version__, "config": {**config, **inputs}, "results": results}
-    text = _canonical(doc)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    # text mode without --out never reads the document, so it is not encoded
+    if args.out or args.format == "structured":
+        config = {
+            key: value
+            for key, value in vars(args).items()
+            if key not in ("handler", "out", "format")
+        }
+        doc = {"version": __version__, "config": {**config, **inputs}, "results": results}
+        text = _canonical(doc)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
     if args.format == "structured":
         sys.stdout.write(text)
     else:

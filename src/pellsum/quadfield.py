@@ -221,16 +221,14 @@ def value_equal(a, b) -> bool:
     elements of different fields are never equal (sqrt(d1), sqrt(d2) are
     linearly independent over Q for distinct squarefree d).
     """
-    ax, ay, ad = _parts(a)
-    bx, by, bd = _parts(b)
-    if ay == 0 and by == 0:
-        return ax == bx
-    return ad == bd and ax == bx and ay == by
+    return _value_key(a) == _value_key(b)
 
 
-def _parts(v) -> tuple[Fraction, Fraction, int | None]:
+def _value_key(v) -> Fraction | tuple[Fraction, Fraction, int]:
+    """Hashable key whose equality is value_equal: a rational by its value,
+    whatever its representation; an irrational x + y*sqrt(d) as (x, y, d)."""
     if isinstance(v, QuadNum):
-        return v.x, v.y, v.d
+        return v.x if v.y == 0 else (v.x, v.y, v.d)
     if isinstance(v, (int, Fraction)):
-        return Fraction(v), Fraction(0), None
+        return Fraction(v)
     raise TypeError(f"expected a number, got {type(v).__name__}")

@@ -13,7 +13,7 @@ from math import isqrt
 
 from ._records import record
 from .errors import InvariantViolationError, RepeatedRootError, UnsupportedOrderError
-from .quadfield import QuadNum, squarefree_decompose, value_equal
+from .quadfield import QuadNum, _value_key, squarefree_decompose, value_equal
 
 Root = Fraction | QuadNum
 
@@ -274,8 +274,9 @@ def is_degenerate(rec: LinearRecurrence) -> DegeneracyVerdict:
     Order 2 is decided by closed coefficient conditions on a = a1, b = a2:
     a = 0 (ratio -1), a^2 = -b (cube root), a^2 = -2b (fourth), a^2 = -3b
     (sixth); a^2 + 4b = 0 means a repeated root (ratio 1), flagged
-    separately. Orders 3-4 fall back to exact ratio powers up to
-    k = MAX_UNITY_ORDER.
+    separately. Orders 3-4 compare the exact k-th powers of the roots for
+    k = 1..MAX_UNITY_ORDER; each k costs one multiplication per root (the
+    running power) and one value-key comparison per root pair.
     """
     d = rec.order
     if d == 1:
@@ -291,10 +292,14 @@ def is_degenerate(rec: LinearRecurrence) -> DegeneracyVerdict:
                 )
         return DegeneracyVerdict(False, None, False, "no coefficient condition holds")
     roots = characteristic_roots(rec)
+    powers = roots
     for k in range(1, MAX_UNITY_ORDER + 1):
+        if k > 1:
+            powers = tuple(v * r for v, r in zip(powers, roots))
+        keys = [_value_key(v) for v in powers]
         for i in range(len(roots)):
             for j in range(i + 1, len(roots)):
-                if value_equal(_power(roots[i], k), _power(roots[j], k)):
+                if keys[i] == keys[j]:
                     repeated = k == 1
                     what = "repeated root (ratio 1)" if repeated else (
                         f"ratio of roots {i + 1} and {j + 1} is a root of unity of order {k}"
@@ -320,21 +325,16 @@ class DependenceVerdict:
         return not self.dependent
 
 
-def _abs_norm(v) -> Fraction:
-    # both embeddings multiplied; for a rational that is just the square
-    if isinstance(v, QuadNum):
-        return abs(v.norm())
-    return Fraction(v) ** 2
-
-
 def roots_multiplicatively_independent(alpha, beta, expbound: int) -> DependenceVerdict:
     """Search |p|, |q| <= expbound for an exact relation alpha^p * beta^q = 1.
 
     Witnesses are canonicalized to p >= 0 (and q > 0 when p = 0), scanned in
     rings of growing max(|p|, |q|), lexicographically inside a ring, so the
-    reported witness is stable. A norm pre-filter (the relation forces
-    |N(alpha)|^p * |N(beta)|^q = 1 exactly) prunes most candidates; the few
-    survivors are checked as alpha^p = beta^(-q) to stay inside one field.
+    reported witness is stable. The relation is checked as alpha^p =
+    beta^(-q), which stays inside one field. Ring r extends alpha^r, beta^r
+    and beta^-r by one multiplication each and files them in tables keyed
+    by value, so a ring costs three multiplications and three lookups; the
+    candidates of ring r are exactly the hits on one of its three powers.
     """
     if expbound < 1:
         raise ValueError("exponent bound must be >= 1")
@@ -342,17 +342,23 @@ def roots_multiplicatively_independent(alpha, beta, expbound: int) -> Dependence
         nonzero = bool(v) if isinstance(v, QuadNum) else Fraction(v) != 0
         if not nonzero:
             raise ValueError(f"{name} must be nonzero")
-    na, nb = _abs_norm(alpha), _abs_norm(beta)
+    beta_inv = beta.inverse() if isinstance(beta, QuadNum) else 1 / Fraction(beta)
+    # value key -> exponents e with alpha^e (resp. beta^e) of that value
+    alpha_table = {Fraction(1): [0]}
+    beta_table = {Fraction(1): [0]}
+    a_pow, b_pow, b_inv_pow = alpha, beta, beta_inv
     for ring in range(1, expbound + 1):
-        for p in range(0, ring + 1):
-            for q in range(-ring, ring + 1):
-                if max(p, abs(q)) != ring:
-                    continue
-                if p == 0 and q <= 0:
-                    continue
-                if na**p * nb**q != 1:
-                    continue
-                if value_equal(_power(alpha, p), _power(beta, -q)):
-                    return DependenceVerdict(True, (p, q), expbound)
+        if ring > 1:
+            a_pow, b_pow, b_inv_pow = a_pow * alpha, b_pow * beta, b_inv_pow * beta_inv
+        a_key, b_key, b_inv_key = _value_key(a_pow), _value_key(b_pow), _value_key(b_inv_pow)
+        alpha_table.setdefault(a_key, []).append(ring)
+        beta_table.setdefault(b_key, []).append(ring)
+        beta_table.setdefault(b_inv_key, []).append(-ring)
+        # each (p, q) below has p == ring or |q| == ring, so it lies on this ring;
+        # (0, -ring) is the inverse of (0, ring), which is the canonical one
+        found = [(ring, -e) for e in beta_table.get(a_key, ())]
+        found += [(p, -ring) for p in alpha_table.get(b_key, ()) if p > 0]
+        found += [(p, ring) for p in alpha_table.get(b_inv_key, ())]
+        if found:
+            return DependenceVerdict(True, min(found), expbound)
     return DependenceVerdict(False, None, expbound)
-

@@ -202,6 +202,10 @@ def pair_sum_search(
     sorted_terms = [terms[n] for n in by_value]
 
     collected: list[PairHit] = []
+    x1_values, x2_values = index[1], index[2]
+    # one memberships tuple per hit value, shared by every hit on it; misses
+    # are not stored, so the table grows with the hits, not the candidates
+    shared: dict[int, tuple] = {}
     for n1 in range(nbound + 1):
         u1 = terms[n1]
         lo = bisect_left(sorted_terms, 1 - u1)
@@ -210,9 +214,12 @@ def pair_sum_search(
         for n2 in by_value[lo:hi]:
             if n2 >= n1:
                 s = u1 + terms[n2]
-                hits_in = _memberships(index, s)
-                if hits_in:
-                    found.append(PairHit(n1, n2, s, hits_in))
+                if s not in x1_values and s not in x2_values:
+                    continue
+                hits_in = shared.get(s)
+                if hits_in is None:
+                    hits_in = shared[s] = _memberships(index, s)
+                found.append(PairHit(n1, n2, s, hits_in))
         collected.extend(sorted(found, key=lambda h: h.n2))
 
     half = nbound // 2

@@ -1,8 +1,13 @@
+import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from pellsum.cli import main
 from pellsum.errors import RepeatedRootError, UnsupportedOrderError
 from pellsum.quadfield import QuadNum, quad, squarefree_decompose, value_equal
 from pellsum.recurrences import (
@@ -14,6 +19,7 @@ from pellsum.recurrences import (
     roots_multiplicatively_independent,
     terms_up_to,
 )
+from recurrence_oracle import ring_scan_dependence, root_power_degeneracy
 
 
 def iterate(coeffs, initials, n):
@@ -238,3 +244,138 @@ def test_dependence_when_product_or_ratio_is_trivial():
     assert roots_multiplicatively_independent(z, -z, 4).dependent
     assert roots_multiplicatively_independent(z, z.conjugate() * -1, 4).dependent
 
+
+
+# -- power tables against the direct-power oracles ----------------------------
+
+UNITS = [quad(1, 1, 2), quad(2, 1, 3), quad(Fraction(1, 2), Fraction(1, 2), 5), quad(5, 2, 6)]
+# -1, i, the primitive cube and sixth roots of unity, and their conjugates
+UNITY = [
+    Fraction(-1), quad(0, 1, -1), quad(0, -1, -1),
+    quad(Fraction(-1, 2), Fraction(1, 2), -3), quad(Fraction(-1, 2), Fraction(-1, 2), -3),
+    quad(Fraction(1, 2), Fraction(1, 2), -3), quad(Fraction(1, 2), Fraction(-1, 2), -3),
+]
+nonzero = st.integers(-6, 6).filter(bool)
+rationals = st.builds(Fraction, nonzero, st.integers(1, 4))
+quadratics = st.builds(
+    quad, st.integers(-4, 4), nonzero, st.sampled_from([2, 3, 5, 6, -1, -2, -3])
+)
+bases = (
+    rationals
+    | st.builds(pow, st.sampled_from(UNITS), st.integers(-3, 3))
+    | st.sampled_from(UNITY)
+    | quadratics
+)
+
+
+def relatives(alpha):
+    """Numbers tied to alpha: powers, conjugate, negative, rational multiples."""
+    options = [
+        st.builds(pow, st.just(alpha), st.integers(-3, 3)),
+        st.just(-alpha),
+        st.builds(lambda r: alpha * r, rationals),
+    ]
+    if isinstance(alpha, QuadNum):
+        options.append(st.sampled_from([alpha.conjugate(), -alpha.conjugate()]))
+        if alpha.d in (-1, -3):
+            same_field = [z for z in UNITY if isinstance(z, QuadNum) and z.d == alpha.d]
+            options.append(st.builds(lambda z: alpha * z, st.sampled_from(same_field)))
+    return st.one_of(options)
+
+
+# first base, then a relative of it or an unrelated (often cross-field) base
+base_pairs = bases.flatmap(lambda a: st.tuples(st.just(a), relatives(a) | bases))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(base_pairs, st.integers(1, 9))
+@example((quad(1, 1, 2), quad(2, 1, 3)), 9)  # independent cross-field units
+@example((quad(1, 1, 2), quad(-1, 1, 2)), 9)  # unit and minus its conjugate: (1, -1)
+@example((Fraction(-1), Fraction(-1)), 3)  # both roots of unity: (1, -1)
+@example((quad(0, 1, -1), Fraction(-1)), 5)  # i^2 = -1: (2, -1)
+@example((Fraction(2), quad(0, 1, 2)), 4)  # 2 = sqrt(2)^2 across representations
+def test_dependence_matches_the_ring_scan(pair, expbound):
+    alpha, beta = pair
+    assert roots_multiplicatively_independent(alpha, beta, expbound) == ring_scan_dependence(
+        alpha, beta, expbound
+    )
+
+
+LINEAR = [1, -1, 2, -2, 3, -3]
+# x^2 + a*x + b: cyclotomic factors, +-sqrt(k), units, and +-1 +- i
+QUADRATIC = [(0, 1), (1, 1), (-1, 1), (0, -2), (0, -3), (0, -8), (2, -1), (-2, -1),
+             (0, 2), (-4, 1), (1, -1), (2, 2), (-2, 2), (0, 4), (0, -1), (3, 3)]
+
+
+def _times(poly, factor):
+    out = [0] * (len(poly) + len(factor) - 1)
+    for i, x in enumerate(poly):
+        for j, y in enumerate(factor):
+            out[i + j] += x * y
+    return out
+
+
+def split_recurrence(factors):
+    poly = [1]
+    for factor in factors:
+        poly = _times(poly, factor)
+    order = len(poly) - 1
+    return LinearRecurrence(tuple(-c for c in poly[1:]), (0,) * (order - 1) + (1,))
+
+
+linear_factors = st.sampled_from(LINEAR).map(lambda r: (1, -r))
+quadratic_factors = st.sampled_from(QUADRATIC).map(lambda ab: (1, *ab))
+# orders 3 and 4 whose characteristic polynomial splits into integer factors
+split_factors = st.one_of(
+    st.lists(linear_factors, min_size=3, max_size=4),
+    st.tuples(linear_factors, quadratic_factors),
+    st.tuples(linear_factors, linear_factors, quadratic_factors),
+    st.tuples(quadratic_factors, quadratic_factors),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(split_factors)
+@example([(1, 0, 1), (1, 0, 4)])  # i and 2i: ratio 2, then i and -i: order 2
+@example([(1, 2, 2), (1, -2, 2)])  # -1 +- i and 1 +- i: ratios of order 4
+@example([(1, -1), (1, 1, 1)])  # 1 and the primitive cube roots of unity
+def test_degeneracy_matches_the_root_power_scan(factors):
+    rec = split_recurrence(factors)
+    assert is_degenerate(rec) == root_power_degeneracy(rec)
+
+
+def test_dependence_multiplications_grow_linearly_in_the_bound(monkeypatch):
+    calls = []
+    multiply = QuadNum.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(QuadNum, "__mul__", counting)
+    monkeypatch.setattr(QuadNum, "__rmul__", counting)
+    expbound = 40
+    verdict = roots_multiplicatively_independent(quad(1, 1, 2), quad(2, 1, 3), expbound)
+    assert verdict.independent
+    assert len(calls) <= 3 * expbound + 10
+
+
+# sha256 of the structured documents written by the ring-by-ring scan
+PINNED_HYPOTHESES = {
+    40: "7fda50c238aa0485e27fc6820b4629d5a500988cbdfce9c9e5ed5f3d609374d9",
+    80: "71d0f41cc9b3a9b36c1e60d37f07b7b99f85bbb3ba348e94026c29c1a3077489",
+}
+
+
+@pytest.mark.parametrize("expbound", sorted(PINNED_HYPOTHESES))
+def test_hypotheses_document_at_large_exponent_bounds_keeps_its_bytes(expbound, capsys):
+    argv = ["hypotheses", "--rec=7,-10,-7,-1;4,-2,4,2", f"--exp-bound={expbound}",
+            "--format=structured"]
+    # cli.main lifts the interpreter's int-to-str digit cap for the process
+    limit = sys.get_int_max_str_digits()
+    try:
+        assert main(argv) == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == PINNED_HYPOTHESES[expbound]

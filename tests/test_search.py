@@ -476,6 +476,18 @@ def test_pair_search_window_edges_and_hit_order():
     assert pair_hit_keys(report) == enumerated_pair_hits(rec, NormFormProblem(5, 4), 30, 10**6)
 
 
+def test_pair_hits_with_equal_values_share_one_memberships_tuple():
+    # U_n = n: each value v in the coordinate sets is hit by every n1 + n2 = v
+    rec = LinearRecurrence((2, -1), (0, 1))
+    report = pair_sum_search(rec, P134, 60, 119)
+    by_value = {}
+    for hit in report.hits:
+        by_value.setdefault(hit.value, []).append(hit.memberships)
+    assert max(len(group) for group in by_value.values()) > 1
+    for group in by_value.values():
+        assert all(memberships is group[0] for memberships in group)
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(
     recurrences,

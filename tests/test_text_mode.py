@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from pellsum import cli
 from pellsum.cli import main
 from test_catalog_replay import pinned_jobs
 
@@ -78,3 +79,19 @@ def test_text_output_keeps_its_bytes(group, capsys, monkeypatch):
     want = DIGESTS[group]
     assert got.keys() == want.keys()
     assert [key for key in got if got[key] != want[key]] == []
+
+
+def test_text_mode_does_not_encode_the_document(capsys, monkeypatch):
+    # the first pinned job of each subcommand, with the encoder made to fail
+    firsts = {}
+    for argv in CASES["jobs"]:
+        firsts.setdefault(argv[0], argv)
+
+    def refuse(doc):
+        raise AssertionError("text mode encoded the document")
+
+    monkeypatch.setattr(cli, "_canonical", refuse)
+    for argv in firsts.values():
+        got = run_text(argv, capsys)
+        assert got == DIGESTS["jobs"][" ".join(argv)], argv
+        assert got[0] == 0, argv
