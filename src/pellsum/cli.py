@@ -2,9 +2,16 @@
 
 Every subcommand prints a short text summary by default, or the full
 structured report with --format structured. --out writes the structured
-report to a file either way. Structured reports are canonical: keys
-sorted, UTF-8, newline-terminated, and free of anything volatile (wall
-time, output path), so reruns produce byte-identical documents.
+report to a file either way. Structured reports are canonical: their bytes
+are, in UTF-8, exactly
+
+    json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+and free of anything volatile (wall time, output path), so reruns produce
+byte-identical documents. _write_canonical streams that exact text to the
+file, stdout or both in one pass, without importing json and without ever
+holding the whole document as one string. A report path that cannot be
+opened is an error (exit 1) before anything is written.
 
 Exit codes: 0 on success, 1 on usage or domain errors, 2 when an internal
 cross-check fails.
@@ -28,7 +35,6 @@ more start-up time than most of them spend computing.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
@@ -533,8 +539,110 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _canonical(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+# -- canonical document writer ----------------------------------------------
+# The text is json.dumps's (module docstring). With an indent, CPython's json
+# runs its pure-Python encoder, which collects every token of the document in
+# one list before joining it; and a job that does not import json starts
+# sooner.
+
+# json.encoder.py_encode_basestring's rule: quote, backslash and C0 controls
+_ESCAPE = re.compile(r'[\x00-\x1f\\"]')
+_ESCAPES = {chr(i): f"\\u{i:04x}" for i in range(0x20)}
+_ESCAPES.update({"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n",
+                 "\r": "\\r", "\t": "\\t"})
+
+# containers this many levels deep are written piece by piece; each one
+# below is joined as a single string (one `vanishing` hit, one partition)
+_STREAMED_LEVELS = 3
+# the pieces reach the sink in chunks of about this many characters; a sink
+# call costs more than a join, and with PYTHONUNBUFFERED set each stdout
+# write is a system call
+_CHUNK = 1 << 15
+
+
+def _escape(match) -> str:
+    return _ESCAPES[match.group()]
+
+
+def _quote(text: str) -> str:
+    # a key that is not a str fails here with TypeError
+    return '"' + _ESCAPE.sub(_escape, text) + '"'
+
+
+def _encode(value, indent: str) -> str:
+    """One value as json's indent=2 text; indent is its line's newline prefix."""
+    if type(value) is int:  # the most common value; bool is a subclass, not int
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [
+            int.__repr__(item) if type(item) is int else _encode(item, inner)
+            for item in value
+        ]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            _quote(key) + ": "
+            + (int.__repr__(item) if type(item) is int else _encode(item, inner))
+            for key, item in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_value(value, indent: str, write, levels: int, prefix: str) -> None:
+    # prefix is the separator, line break and key that precede the value
+    if not levels or not isinstance(value, (dict, list, tuple)) or not value:
+        write(prefix + _encode(value, indent))
+        return
+    inner = indent + "  "
+    separator = ""
+    if isinstance(value, dict):
+        write(prefix + "{")
+        for key, item in sorted(value.items()):
+            _write_value(item, inner, write, levels - 1,
+                         separator + inner + _quote(key) + ": ")
+            separator = ","
+        write(indent + "}")
+    else:
+        write(prefix + "[")
+        for item in value:
+            _write_value(item, inner, write, levels - 1, separator + inner)
+            separator = ","
+        write(indent + "]")
+
+
+def _write_canonical(doc: dict, write) -> None:
+    """Pass the canonical text of doc to write, in chunks, newline-terminated."""
+    pending = []
+    size = 0
+
+    def add(piece):
+        nonlocal size
+        pending.append(piece)
+        size += len(piece)
+        if size >= _CHUNK:
+            write("".join(pending))
+            pending.clear()
+            size = 0
+
+    _write_value(doc, "\n", add, _STREAMED_LEVELS, "")
+    pending.append("\n")
+    write("".join(pending))
 
 
 def main(argv=None) -> int:
@@ -562,13 +670,24 @@ def main(argv=None) -> int:
             if key not in ("handler", "out", "format")
         }
         doc = {"version": __version__, "config": {**config, **inputs}, "results": results}
-        text = _canonical(doc)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-    if args.format == "structured":
-        sys.stdout.write(text)
-    else:
+        if not args.out:
+            _write_canonical(doc, sys.stdout.write)
+        else:
+            try:
+                handle = open(args.out, "w", encoding="utf-8")
+            except OSError as exc:
+                print(f"error: cannot write report to {args.out}: {exc.strerror or exc}",
+                      file=sys.stderr)
+                return 1
+            with handle:
+                if args.format == "structured":
+                    def write(piece):
+                        handle.write(piece)
+                        sys.stdout.write(piece)
+                else:
+                    write = handle.write
+                _write_canonical(doc, write)
+    if args.format != "structured":
         for line in lines:
             print(line)
         if args.out:

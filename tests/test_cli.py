@@ -190,8 +190,9 @@ def test_malformed_arguments_exit_1(capsys):
         assert info.value.code == 1, argv
 
 
-def test_domain_errors_exit_1_without_raising(capsys):
+def test_domain_errors_exit_1_without_raising(capsys, tmp_path):
     # parseable arguments, bad values: handled and reported, not raised
+    unwritable = str(tmp_path / "missing" / "x.json")
     for argv in (
         ["recur", "--rec", "nonsense", "--n", "4"],
         ["pell", "--d", "12"],  # 12 is not squarefree
@@ -213,6 +214,11 @@ def test_domain_errors_exit_1_without_raising(capsys):
         assert code == 1 and err, argv
     code, out, err = run_main(["pell", "--d", "12"], capsys)
     assert code == 1 and "squarefree" in err
+    for fmt in ("text", "structured"):  # the report's directory does not exist
+        code, out, err = run_main(["pell", "--d", "13", "--format", fmt, "--out", unwritable],
+                                  capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write report to {unwritable}: No such file or directory\n"
 
 
 def test_sunit_search_over_budget_refuses_quickly(capsys):

@@ -2,9 +2,10 @@
 
 The import-boundary tests run each command in a fresh interpreter, because
 this test process has already imported every layer. The probe also reports
-`dataclasses` and `inspect`, which no job needs, and `importlib.resources`
-and `zipfile`, which `verify-remark` does not need to read its fixtures:
-importing them costs more start-up time than most jobs spend computing.
+`dataclasses` and `inspect`, which no job needs, `importlib.resources` and
+`zipfile`, which `verify-remark` does not need to read its fixtures, and
+`json`, which only `verify-remark` needs: importing them costs more start-up
+time than most jobs spend computing.
 """
 
 import importlib
@@ -21,17 +22,19 @@ import pellsum
 ROOT = Path(__file__).resolve().parent.parent
 
 _PROBE = """
-import json, sys
+import sys
 import pellsum.cli
 try:
     code = pellsum.cli.main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(
+loaded = sorted(
     m for m in sys.modules
     if m.startswith("pellsum.")
-    or m in ("dataclasses", "inspect", "importlib.resources", "zipfile")
-)]))
+    or m in ("dataclasses", "inspect", "importlib.resources", "zipfile", "json")
+)
+import json
+print(json.dumps([code, loaded]))
 """
 
 
@@ -69,27 +72,37 @@ def test_recurrence_jobs_load_no_search_layer(argv):
     assert "recurrences" in loaded
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--version"],
-        ["pell", "--d=13"],
-        ["solve-norm", "--d=13", "--m=4"],
-        ["coords", "--d=13", "--m=4", "--coord=1", "--bound=1000"],
-        ["recur", "--rec=1,1;0,1", "--n=30"],
-        ["binet", "--rec=1,1;0,1"],
-        ["hypotheses", "--rec=1,1;0,1", "--exp-bound=3"],
-        ["pairs-search", "--rec=1,1;0,1", "--d=13", "--m=4", "--n=20", "--bound=1000"],
-        ["sunit-search", "--primes=2,3", "--t=2", "--exp-bound=1", "--d=13", "--m=4",
-         "--bound=100"],
-        ["vanishing", "--rec=2,-2;1,1", "--n=10"],
-        ["bound", "--s=2", "--degrees=2", "--field-degree=2"],
-        ["partitions", "--bases=2,4,3+2*sqrt(2)", "--exp-bound=3"],
-        ["verify-remark", "--id=2.3", "--n=50"],
-    ],
-)
+# --version and one job of every subcommand
+EVERY_COMMAND = [
+    ["--version"],
+    ["pell", "--d=13"],
+    ["solve-norm", "--d=13", "--m=4"],
+    ["coords", "--d=13", "--m=4", "--coord=1", "--bound=1000"],
+    ["recur", "--rec=1,1;0,1", "--n=30"],
+    ["binet", "--rec=1,1;0,1"],
+    ["hypotheses", "--rec=1,1;0,1", "--exp-bound=3"],
+    ["pairs-search", "--rec=1,1;0,1", "--d=13", "--m=4", "--n=20", "--bound=1000"],
+    ["sunit-search", "--primes=2,3", "--t=2", "--exp-bound=1", "--d=13", "--m=4",
+     "--bound=100"],
+    ["vanishing", "--rec=2,-2;1,1", "--n=10"],
+    ["bound", "--s=2", "--degrees=2", "--field-degree=2"],
+    ["partitions", "--bases=2,4,3+2*sqrt(2)", "--exp-bound=3"],
+    ["verify-remark", "--id=2.3", "--n=50"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND)
 def test_no_job_imports_dataclasses_or_inspect(argv):
     assert loaded_layers(argv) & {"dataclasses", "inspect"} == set()
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND)
+def test_only_verify_remark_imports_json(argv):
+    # the CLI writes its documents itself; fixtures.py parses its JSON records.
+    # -S: a site .pth file may import json before any job starts
+    structured = argv if argv == ["--version"] else [*argv, "--format=structured"]
+    loaded = loaded_layers(structured, "-S")
+    assert ("json" in loaded) == (argv[0] == "verify-remark")
 
 
 def test_verify_remark_reads_fixtures_without_importlib_resources():

@@ -87,10 +87,10 @@ def test_text_mode_does_not_encode_the_document(capsys, monkeypatch):
     for argv in CASES["jobs"]:
         firsts.setdefault(argv[0], argv)
 
-    def refuse(doc):
+    def refuse(doc, write):
         raise AssertionError("text mode encoded the document")
 
-    monkeypatch.setattr(cli, "_canonical", refuse)
+    monkeypatch.setattr(cli, "_write_canonical", refuse)
     for argv in firsts.values():
         got = run_text(argv, capsys)
         assert got == DIGESTS["jobs"][" ".join(argv)], argv
