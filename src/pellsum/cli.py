@@ -9,9 +9,11 @@ are, in UTF-8, exactly
 
 and free of anything volatile (wall time, output path), so reruns produce
 byte-identical documents. _write_canonical streams that exact text to the
-file, stdout or both in one pass, without importing json and without ever
-holding the whole document as one string. A report path that cannot be
-opened is an error (exit 1) before anything is written.
+file, stdout or both in one pass, without importing json: one recursive
+encoder buffers the text and hands it on in chunks of about 32 Ki
+characters at any depth, and encodes a generator as the list it yields, so
+a handler can pass a long result without building it. A report that cannot
+be opened or written is an error (exit 1, one `error:` line).
 
 Exit codes: 0 on success, 1 on usage or domain errors, 2 when an internal
 cross-check fails.
@@ -35,9 +37,12 @@ more start-up time than most of them spend computing.
 from __future__ import annotations
 
 import argparse
+import io
+import os
 import re
 import sys
 from fractions import Fraction
+from types import GeneratorType
 
 from . import __version__
 from .errors import InvariantViolationError, PellsumError
@@ -71,12 +76,15 @@ def parse_base(text: str) -> Fraction | QuadNum:
     match = _BASE_RE.match(text)
     if not match or (match.group("rat") is None and match.group("d") is None):
         raise ValueError(f"cannot parse base {text!r}")
+    try:
+        x = Fraction(match.group("rat") or 0)
+        y = Fraction(match.group("coef") or 1)
+    except ZeroDivisionError:  # a denominator of 0
+        raise ValueError(f"cannot parse base {text!r}") from None
     if match.group("d") is None:
-        return Fraction(match.group("rat"))
+        return x
     if match.group("rat") is not None and match.group("sign") is None:
         raise ValueError(f"missing + or - before the sqrt term in {text!r}")
-    x = Fraction(match.group("rat") or 0)
-    y = Fraction(match.group("coef") or 1)
     if match.group("sign") == "-":
         y = -y
     return quad(x, y, int(match.group("d")))
@@ -356,9 +364,8 @@ def _cmd_vanishing(args):
     hits = vanishing_pair_sums(rec, args.n)
     results = {
         "count": len(hits),
-        "hits": [
-            {"n1": n1, "n2": n2, "delta": list(delta)} for n1, n2, delta in hits
-        ],
+        # the writer builds each hit's dict as it reaches it
+        "hits": ({"n1": n1, "n2": n2, "delta": list(delta)} for n1, n2, delta in hits),
     }
     lines = [f"{len(hits)} vanishing subsum(s) with n1 <= n2 <= {args.n}"]
     for n1, n2, delta in hits[:20]:
@@ -540,10 +547,11 @@ def build_parser() -> _Parser:
 
 
 # -- canonical document writer ----------------------------------------------
-# The text is json.dumps's (module docstring). With an indent, CPython's json
-# runs its pure-Python encoder, which collects every token of the document in
-# one list before joining it; and a job that does not import json starts
-# sooner.
+# The text is json.dumps's (module docstring), written without json: with an
+# indent, json runs its pure-Python encoder, and in a fresh process that
+# takes 70-85 ms (json.dumps) or 85-110 ms (JSONEncoder.iterencode) for the
+# dense `vanishing` document (606 KB) against 45-60 ms here (2-core VM,
+# Python 3.11); and a job that does not import json starts sooner.
 
 # json.encoder.py_encode_basestring's rule: quote, backslash and C0 controls
 _ESCAPE = re.compile(r'[\x00-\x1f\\"]')
@@ -551,12 +559,9 @@ _ESCAPES = {chr(i): f"\\u{i:04x}" for i in range(0x20)}
 _ESCAPES.update({"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n",
                  "\r": "\\r", "\t": "\\t"})
 
-# containers this many levels deep are written piece by piece; each one
-# below is joined as a single string (one `vanishing` hit, one partition)
-_STREAMED_LEVELS = 3
-# the pieces reach the sink in chunks of about this many characters; a sink
-# call costs more than a join, and with PYTHONUNBUFFERED set each stdout
-# write is a system call
+# the text reaches the sink in chunks of about this many characters; a sink
+# call costs more than a buffered write, and with PYTHONUNBUFFERED set each
+# stdout write is a system call
 _CHUNK = 1 << 15
 
 
@@ -569,80 +574,60 @@ def _quote(text: str) -> str:
     return '"' + _ESCAPE.sub(_escape, text) + '"'
 
 
-def _encode(value, indent: str) -> str:
-    """One value as json's indent=2 text; indent is its line's newline prefix."""
+def _emit(value, indent: str, buffer, write) -> None:
+    """Add value's indent=2 text to buffer; indent is its line's newline prefix.
+
+    Between two items of a container, at any depth, a buffer holding _CHUNK
+    characters or more goes to write and starts again empty. Lists, tuples
+    and generators are arrays alike; an array or object is empty when it
+    yields no first item.
+    """
     if type(value) is int:  # the most common value; bool is a subclass, not int
-        return int.__repr__(value)
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [
-            int.__repr__(item) if type(item) is int else _encode(item, inner)
-            for item in value
-        ]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            _quote(key) + ": "
-            + (int.__repr__(item) if type(item) is int else _encode(item, inner))
-            for key, item in sorted(value.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _write_value(value, indent: str, write, levels: int, prefix: str) -> None:
-    # prefix is the separator, line break and key that precede the value
-    if not levels or not isinstance(value, (dict, list, tuple)) or not value:
-        write(prefix + _encode(value, indent))
-        return
-    inner = indent + "  "
-    separator = ""
-    if isinstance(value, dict):
-        write(prefix + "{")
-        for key, item in sorted(value.items()):
-            _write_value(item, inner, write, levels - 1,
-                         separator + inner + _quote(key) + ": ")
-            separator = ","
-        write(indent + "}")
+        buffer.write(int.__repr__(value))
+    elif isinstance(value, str):
+        buffer.write(_quote(value))
+    elif value is None:
+        buffer.write("null")
+    elif value is True:
+        buffer.write("true")
+    elif value is False:
+        buffer.write("false")
+    elif isinstance(value, int):
+        buffer.write(int.__repr__(value))
     else:
-        write(prefix + "[")
-        for item in value:
-            _write_value(item, inner, write, levels - 1, separator + inner)
-            separator = ","
-        write(indent + "]")
+        if isinstance(value, dict):
+            items, opening, closing = sorted(value.items()), "{", "}"
+        elif isinstance(value, (list, tuple, GeneratorType)):
+            items, opening, closing = value, "[", "]"
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        inner = indent + "  "
+        comma = "," + inner
+        separator = opening + inner
+        for item in items:
+            if closing == "}":
+                key, item = item
+                buffer.write(separator + _quote(key) + ": ")
+            else:
+                buffer.write(separator)
+            if type(item) is int:
+                buffer.write(int.__repr__(item))
+            else:
+                _emit(item, inner, buffer, write)
+            separator = comma
+            if buffer.tell() >= _CHUNK:
+                write(buffer.getvalue())
+                buffer.seek(0)
+                buffer.truncate()
+        buffer.write(indent + closing if separator is comma else opening + closing)
 
 
 def _write_canonical(doc: dict, write) -> None:
     """Pass the canonical text of doc to write, in chunks, newline-terminated."""
-    pending = []
-    size = 0
-
-    def add(piece):
-        nonlocal size
-        pending.append(piece)
-        size += len(piece)
-        if size >= _CHUNK:
-            write("".join(pending))
-            pending.clear()
-            size = 0
-
-    _write_value(doc, "\n", add, _STREAMED_LEVELS, "")
-    pending.append("\n")
-    write("".join(pending))
+    buffer = io.StringIO()
+    _emit(doc, "\n", buffer, write)
+    buffer.write("\n")
+    write(buffer.getvalue())
 
 
 def main(argv=None) -> int:
@@ -670,23 +655,36 @@ def main(argv=None) -> int:
             if key not in ("handler", "out", "format")
         }
         doc = {"version": __version__, "config": {**config, **inputs}, "results": results}
-        if not args.out:
-            _write_canonical(doc, sys.stdout.write)
-        else:
-            try:
+        handle = None
+        streams = [sys.stdout] if args.format == "structured" else []
+        stream = None  # the stream an OSError comes from; None while --out opens
+
+        def write(piece):
+            nonlocal stream
+            for stream in streams:
+                stream.write(piece)
+
+        try:
+            if args.out:
                 handle = open(args.out, "w", encoding="utf-8")
-            except OSError as exc:
-                print(f"error: cannot write report to {args.out}: {exc.strerror or exc}",
-                      file=sys.stderr)
-                return 1
-            with handle:
-                if args.format == "structured":
-                    def write(piece):
-                        handle.write(piece)
-                        sys.stdout.write(piece)
-                else:
-                    write = handle.write
-                _write_canonical(doc, write)
+                streams.insert(0, handle)
+            _write_canonical(doc, write)
+            for stream in streams:
+                stream.flush()
+        except OSError as exc:
+            name = "stdout" if stream is sys.stdout else args.out
+            print(f"error: cannot write report to {name}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            if stream is not None:
+                # its unwritten buffer would fail again when the stream is closed
+                # or flushed at exit (the Python docs' SIGPIPE note)
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stream.fileno())
+                os.close(devnull)
+            return 1
+        finally:
+            if handle is not None:
+                handle.close()
     if args.format != "structured":
         for line in lines:
             print(line)

@@ -2,10 +2,9 @@
 
 cli._write_canonical must pass its sink exactly the text of
 json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\\n", in
-chunks: the outer levels are written one item at a time, each deeper
-container as one string, and the pieces are gathered into chunks of about
-32 Ki characters. The program never calls json.dumps; the tests use it as
-the reference.
+chunks of about 32 Ki characters however deep the document's bulk sits, and
+must encode a generator as json.dumps encodes the list it yields. The
+program never calls json.dumps; the tests use it as the reference.
 """
 
 import hashlib
@@ -14,7 +13,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pellsum import cli
@@ -84,11 +83,46 @@ def test_writer_matches_json_dumps(value):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        # at the top the outer levels stream; three levels down all is joined
-        for doc in (value, {"results": {"hits": [value]}}):
+        for doc in (value, {"results": {"hits": [value]}}, {"a": {"b": {"c": {"d": value}}}}):
             assert "".join(written(doc)) == oracle(doc)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def lazy(value):
+    """value with every list turned into a generator of its items."""
+    if isinstance(value, list):
+        return (lazy(item) for item in value)
+    if isinstance(value, dict):
+        return {key: lazy(item) for key, item in value.items()}
+    return value
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_values)
+@example([])
+@example({"hits": [], "count": 0})
+@example([[], [[]], {"a": []}])
+def test_generators_encode_as_their_lists(value):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert "".join(written(lazy(value))) == oracle(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": {"b": {"c": list(range(200000))}}},
+    [[[[[{"n": n, "s": "x" * (n % 7)} for n in range(50000)]]]]],
+])
+def test_bulk_below_the_third_level_streams_in_chunks(doc):
+    pieces = written(doc)
+    assert "".join(pieces) == oracle(doc)
+    assert len(pieces) > 10
+    assert max(len(piece.encode("utf-8")) for piece in pieces) <= 64 * 1024
+    # every chunk but the last is cut at the first item boundary past _CHUNK
+    assert all(cli._CHUNK <= len(piece) < cli._CHUNK + 64 for piece in pieces[:-1])
 
 
 @pytest.mark.parametrize(
@@ -110,6 +144,9 @@ def test_dense_vanishing_document_streams_in_small_pieces(monkeypatch, no_digit_
         def write(self, piece):
             self.pieces.append(piece)
             return len(piece)
+
+        def flush(self):  # main flushes stdout so that a failed write is caught
+            pass
 
     sink = Sink()
     monkeypatch.setattr(sys, "stdout", sink)

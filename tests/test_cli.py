@@ -208,6 +208,7 @@ def test_domain_errors_exit_1_without_raising(capsys, tmp_path):
         ["bound", "--s", "0", "--degrees", "1", "--field-degree", "2"],
         ["bound", "--s", "10", "--degrees", "10", "--field-degree", "2"],  # over budget
         ["partitions", "--bases", "2", "--exp-bound", "3"],
+        ["partitions", "--bases", "1/0,2", "--exp-bound", "2"],  # zero denominator
         ["binet", "--rec", "2,-1;0,2"],  # repeated root
     ):
         code, out, err = run_main(argv, capsys)
@@ -219,6 +220,41 @@ def test_domain_errors_exit_1_without_raising(capsys, tmp_path):
                                   capsys)
         assert (code, out) == (1, "")
         assert err == f"error: cannot write report to {unwritable}: No such file or directory\n"
+
+
+DENSE = [sys.executable, "-m", "pellsum", "vanishing", "--rec=1,-1;0,1", "--n=133"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_report_write_failures_exit_1_with_one_error_line(tmp_path):
+    # a full device behind --out or stdout, and a reader that leaves early;
+    # the 606 KB document is larger than a pipe's buffer, and the small one
+    # fits in stdout's buffer until main flushes it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    small = [sys.executable, "-m", "pellsum", "pell", "--d=13", "--format=structured"]
+    beside = [*DENSE, "--format=structured", "--out", str(tmp_path / "dense.json")]
+    runs = []
+    with open("/dev/full", "w") as full:
+        runs.append(subprocess.run([*DENSE, "--out", "/dev/full"], capture_output=True,
+                                   text=True, env=env, timeout=60))
+        for argv in ([*DENSE, "--format=structured"], small, beside):
+            runs.append(subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True,
+                                       env=dict(env, PYTHONUNBUFFERED=""), timeout=60))
+    reader = subprocess.Popen([*DENSE, "--format=structured"], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    reader.stdout.read(100)
+    reader.stdout.close()
+    runs.append(subprocess.CompletedProcess(reader.args, reader.wait(timeout=60), None,
+                                            reader.stderr.read()))
+    reader.stderr.close()
+    assert [(run.returncode, run.stderr) for run in runs] == [
+        (1, "error: cannot write report to /dev/full: No space left on device\n"),
+        (1, "error: cannot write report to stdout: No space left on device\n"),
+        (1, "error: cannot write report to stdout: No space left on device\n"),
+        (1, "error: cannot write report to stdout: No space left on device\n"),
+        (1, "error: cannot write report to stdout: Broken pipe\n"),
+    ]
+    assert runs[0].stdout == ""
 
 
 def test_sunit_search_over_budget_refuses_quickly(capsys):
@@ -278,6 +314,9 @@ def test_parse_base_forms():
     for bad in ("", "sqrt()", "2 sqrt(2)", "1+*sqrt(2)", "one"):
         with pytest.raises(ValueError):
             parse_base(bad)
+    for zero_denominator in ("1/0", "3+1/0*sqrt(2)"):
+        with pytest.raises(ValueError, match="cannot parse base"):
+            parse_base(zero_denominator)
 
 
 def test_version_flag(capsys):
