@@ -5,10 +5,11 @@ so a short seed scan plus orbit stepping replaces unbounded search.
 """
 
 from pellsum import (
+    LinearRecurrence,
     NormFormProblem,
+    binet,
     coordinate_set,
     solution_classes,
-    unit_power_form,
 )
 
 problem = NormFormProblem(13, 4)
@@ -39,8 +40,12 @@ print("  ", coordinate_set(NormFormProblem(5, 4), 1, 20))
 
 print()
 
-# Each coordinate along a class is c1*eps^a + c2*conj(eps)^a, which is how
-# the coordinate sets connect back to linear recurrences.
-form = unit_power_form(problem, sol.orbits[0], 1)
-print(f"coordinate 1 closed form: c1 = {form.c1}, eps = {form.eps}")
-print("values:", [form.evaluate(a) for a in range(5)])
+# Each coordinate along a class is c1*eps^a + c2*conj(eps)^a with
+# eps = (t + u*sqrt(d))/2, so it is the binary recurrence with
+# coefficients (t, -1): this is how the coordinate sets connect back to
+# linear recurrences, and binet gives the closed form.
+t = orbit.automorph[0]
+rep = orbit.representative
+form = binet(LinearRecurrence((t, -1), (rep[0], orbit.step(rep)[0])))
+print(f"coordinate 1 closed form: c1 = {form.coeffs[0]}, eps = {form.roots[0]}")
+print("values:", [form.term(a) for a in range(5)])

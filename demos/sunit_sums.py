@@ -13,7 +13,6 @@ from pellsum import (
     SPrimeSet,
     enumerate_sunits,
     subsums_nonvanishing,
-    sunit_from_rational,
     sunit_sum_search,
 )
 
@@ -22,8 +21,9 @@ basis = SPrimeSet((2,))
 units = list(enumerate_sunits(basis, 1))
 print("S = {2}, |b| <= 1:", [str(u.value) for u in units])
 
-# round trip through the exponent representation
-u = sunit_from_rational(SPrimeSet((2, 3, 5)), Fraction(90, 4))
+# each unit carries its exponent representation
+u = next(unit for unit in enumerate_sunits(SPrimeSet((2, 3, 5)), 2)
+         if unit.value == Fraction(90, 4))
 print(f"90/4 over {{2, 3, 5}}: sign {u.sign}, exponents {u.exponents}")
 
 print()

@@ -33,10 +33,8 @@ _LAYER_NAMES = {
         "NormFormProblem",
         "NormFormSolutions",
         "SolutionOrbit",
-        "UnitPowerForm",
         "coordinate_set",
         "solution_classes",
-        "unit_power_form",
     ),
     "partitions": ("bell_number", "set_partitions"),
     "pell": ("PellData", "continued_fraction_sqrt", "pell_data"),
@@ -82,7 +80,6 @@ _LAYER_NAMES = {
         "enumerate_sunits",
         "is_prime",
         "subsums_nonvanishing",
-        "sunit_from_rational",
     ),
 }
 _LAYER_OF = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}

@@ -12,8 +12,9 @@ byte-identical documents. _write_canonical streams that exact text to the
 file, stdout or both in one pass, without importing json: one recursive
 encoder buffers the text and hands it on in chunks of about 32 Ki
 characters at any depth, and encodes a generator as the list it yields, so
-a handler can pass a long result without building it. A report that cannot
-be opened or written is an error (exit 1, one `error:` line).
+a handler can pass a long result without building it. Output that cannot
+be opened or written, the document or the text summary, is an error
+(exit 1, one `error:` line naming the --out path or stdout).
 
 Exit codes: 0 on success, 1 on usage or domain errors, 2 when an internal
 cross-check fails.
@@ -647,49 +648,51 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    # text mode without --out never reads the document, so it is not encoded
-    if args.out or args.format == "structured":
-        config = {
-            key: value
-            for key, value in vars(args).items()
-            if key not in ("handler", "out", "format")
-        }
-        doc = {"version": __version__, "config": {**config, **inputs}, "results": results}
-        handle = None
-        streams = [sys.stdout] if args.format == "structured" else []
-        stream = None  # the stream an OSError comes from; None while --out opens
+    handle = None
+    streams = [sys.stdout] if args.format == "structured" else []
+    stream = None  # the stream an OSError comes from; None while --out opens
 
-        def write(piece):
-            nonlocal stream
-            for stream in streams:
-                stream.write(piece)
+    def write(piece):
+        nonlocal stream
+        for stream in streams:
+            stream.write(piece)
 
-        try:
-            if args.out:
-                handle = open(args.out, "w", encoding="utf-8")
-                streams.insert(0, handle)
-            _write_canonical(doc, write)
-            for stream in streams:
-                stream.flush()
-        except OSError as exc:
-            name = "stdout" if stream is sys.stdout else args.out
-            print(f"error: cannot write report to {name}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            if stream is not None:
-                # its unwritten buffer would fail again when the stream is closed
-                # or flushed at exit (the Python docs' SIGPIPE note)
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, stream.fileno())
-                os.close(devnull)
-            return 1
-        finally:
-            if handle is not None:
-                handle.close()
-    if args.format != "structured":
-        for line in lines:
-            print(line)
+    try:
         if args.out:
-            print(f"report written to {args.out}")
+            handle = open(args.out, "w", encoding="utf-8")
+            streams.insert(0, handle)
+        # text mode without --out never reads the document, so it is not encoded
+        if streams:
+            config = {
+                key: value
+                for key, value in vars(args).items()
+                if key not in ("handler", "out", "format")
+            }
+            doc = {"version": __version__, "config": {**config, **inputs}, "results": results}
+            _write_canonical(doc, write)
+        for stream in streams:
+            stream.flush()
+        if args.format != "structured":
+            stream = sys.stdout
+            for line in lines:
+                stream.write(f"{line}\n")
+            if args.out:
+                stream.write(f"report written to {args.out}\n")
+            stream.flush()
+    except OSError as exc:
+        name = "stdout" if stream is sys.stdout else args.out
+        print(f"error: cannot write report to {name}: {exc.strerror or exc}",
+              file=sys.stderr)
+        if stream is not None:
+            # its unwritten buffer would fail again when the stream is closed
+            # or flushed at exit (the Python docs' SIGPIPE note)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+        return 1
+    finally:
+        if handle is not None:
+            handle.close()
     return 0
 
 

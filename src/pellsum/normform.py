@@ -8,13 +8,11 @@ of interest collect absolute values only.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 
 from ._records import record
 from .errors import InvariantViolationError
 from .pell import _validate_real_d, pell_data
-from .quadfield import QuadNum, quad
 
 
 @record
@@ -215,49 +213,3 @@ def coordinate_set(
                 values.add(v)
     return sorted(values)
 
-
-@record
-class UnitPowerForm:
-    """One coordinate along a class as c1 * eps^a + c2 * conj(eps)^a.
-
-    eps is the orbit automorph (t + u*sqrt(d))/2, so c2 = conj(c1) and
-    eps * conj(eps) = 1; evaluate(a) for a >= 0 walks the signed coordinate
-    starting from the representative.
-    """
-
-    coordinate: int
-    c1: QuadNum
-    c2: QuadNum
-    eps: QuadNum
-
-    def evaluate(self, a: int) -> int:
-        v = self.c1 * self.eps**a + self.c2 * self.eps.conjugate() ** a
-        if v.y != 0 or v.x.denominator != 1:
-            raise InvariantViolationError(
-                f"power form gave non-integer {v} at exponent {a}"
-            )
-        return int(v.x)
-
-
-def unit_power_form(
-    problem: NormFormProblem, orbit: SolutionOrbit, coord: int = 1
-) -> UnitPowerForm:
-    """Closed form for one coordinate along a solution class of problem.
-
-    coord=1 sets c1 = mu/2, coord=2 sets c1 = mu/(2*sqrt(d)), mu being the
-    representative; either way the irrational parts cancel in evaluate.
-    """
-    if coord not in (1, 2):
-        raise ValueError("coord must be 1 or 2")
-    if orbit.problem != problem:
-        raise ValueError("orbit does not belong to this problem")
-    d = problem.d
-    t, u = orbit.automorph
-    eps = QuadNum(Fraction(t, 2), Fraction(u, 2), d)
-    x, y = orbit.representative
-    mu = quad(x, y, d)
-    if coord == 1:
-        c1 = mu / 2
-    else:
-        c1 = mu / quad(0, 2, d)
-    return UnitPowerForm(coord, c1, c1.conjugate(), eps)

@@ -107,28 +107,6 @@ def enumerate_sunits(basis: SPrimeSet, expbound: int) -> Iterator[SUnit]:
             yield SUnit(sign, exps, basis)
 
 
-def sunit_from_rational(basis: SPrimeSet, value: Fraction | int) -> SUnit:
-    """Refactor a nonzero rational over the basis; the enumeration round-trip."""
-    value = Fraction(value)
-    if value == 0:
-        raise ValueError("0 is not an S-unit")
-    sign = 1 if value > 0 else -1
-    exps = []
-    num, den = abs(value.numerator), value.denominator
-    for p in basis.primes:
-        e = 0
-        while num % p == 0:
-            num //= p
-            e += 1
-        while den % p == 0:
-            den //= p
-            e -= 1
-        exps.append(e)
-    if num != 1 or den != 1:
-        raise ValueError(f"{value} is not supported on primes {basis.primes}")
-    return SUnit(sign, tuple(exps), basis)
-
-
 @record
 class SubsumCertificate:
     """Verdict that every nonempty subsum of a tuple is nonzero.

@@ -227,34 +227,41 @@ DENSE = [sys.executable, "-m", "pellsum", "vanishing", "--rec=1,-1;0,1", "--n=13
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_report_write_failures_exit_1_with_one_error_line(tmp_path):
-    # a full device behind --out or stdout, and a reader that leaves early;
-    # the 606 KB document is larger than a pipe's buffer, and the small one
-    # fits in stdout's buffer until main flushes it
+    # a full device behind --out or stdout, and a reader that leaves early,
+    # for documents and for text summaries; the 606 KB document and the
+    # 150 KB summary line are larger than a pipe's buffer, and the small
+    # outputs fit in stdout's buffer until main flushes it. Text runs keep
+    # stdout buffered (PYTHONUNBUFFERED empty): unbuffered, the short write
+    # of the one long line to the closed pipe is dropped unseen
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    buffered = dict(env, PYTHONUNBUFFERED="")
     small = [sys.executable, "-m", "pellsum", "pell", "--d=13", "--format=structured"]
     beside = [*DENSE, "--format=structured", "--out", str(tmp_path / "dense.json")]
+    recur = [sys.executable, "-m", "pellsum", "recur", "--rec=1,1;0,1", "--n=3"]
+    recur_beside = [*recur, "--out", str(tmp_path / "recur.json")]
+    wide = [sys.executable, "-m", "pellsum", "recur", "--rec=1;" + "9" * 10000, "--n=14"]
     runs = []
     with open("/dev/full", "w") as full:
         runs.append(subprocess.run([*DENSE, "--out", "/dev/full"], capture_output=True,
                                    text=True, env=env, timeout=60))
-        for argv in ([*DENSE, "--format=structured"], small, beside):
+        for argv in ([*DENSE, "--format=structured"], small, beside, recur, recur_beside):
             runs.append(subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True,
-                                       env=dict(env, PYTHONUNBUFFERED=""), timeout=60))
-    reader = subprocess.Popen([*DENSE, "--format=structured"], stdout=subprocess.PIPE,
-                              stderr=subprocess.PIPE, text=True, env=env)
-    reader.stdout.read(100)
-    reader.stdout.close()
-    runs.append(subprocess.CompletedProcess(reader.args, reader.wait(timeout=60), None,
-                                            reader.stderr.read()))
-    reader.stderr.close()
+                                       env=buffered, timeout=60))
+    for argv, reader_env in (([*DENSE, "--format=structured"], env), (wide, buffered)):
+        reader = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  text=True, env=reader_env)
+        reader.stdout.read(100)
+        reader.stdout.close()
+        runs.append(subprocess.CompletedProcess(argv, reader.wait(timeout=60), None,
+                                                reader.stderr.read()))
+        reader.stderr.close()
     assert [(run.returncode, run.stderr) for run in runs] == [
         (1, "error: cannot write report to /dev/full: No space left on device\n"),
-        (1, "error: cannot write report to stdout: No space left on device\n"),
-        (1, "error: cannot write report to stdout: No space left on device\n"),
-        (1, "error: cannot write report to stdout: No space left on device\n"),
-        (1, "error: cannot write report to stdout: Broken pipe\n"),
+        *[(1, "error: cannot write report to stdout: No space left on device\n")] * 5,
+        *[(1, "error: cannot write report to stdout: Broken pipe\n")] * 2,
     ]
     assert runs[0].stdout == ""
+    assert (tmp_path / "recur.json").read_text(encoding="utf-8").startswith("{")
 
 
 def test_sunit_search_over_budget_refuses_quickly(capsys):

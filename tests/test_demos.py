@@ -1,6 +1,10 @@
-"""Each walkthrough in demos/ runs to completion against the package."""
+"""Each walkthrough in demos/ runs to completion against the package, and
+every `python` example in README.md gives the output it shows."""
 
+import doctest
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +27,18 @@ def test_demo_runs(demo):
     )
     assert run.returncode == 0, run.stderr[-2000:]
     assert run.stdout
+
+
+def test_readme_python_examples_pass_doctest():
+    # the blocks share one namespace, as for a reader typing them in order
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    parser, runner, report = doctest.DocTestParser(), doctest.DocTestRunner(), io.StringIO()
+    namespace, failed, attempted = {}, 0, 0
+    for number, block in enumerate(blocks, 1):
+        test = parser.get_doctest(block, namespace, f"README block {number}", "README.md", 0)
+        result = runner.run(test, out=report.write, clear_globs=False)
+        namespace = test.globs
+        failed, attempted = failed + result.failed, attempted + result.attempted
+    assert failed == 0, report.getvalue()
+    assert attempted >= 18

@@ -150,6 +150,8 @@ def test_star_import_binds_every_public_name():
 def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         pellsum.no_such_name
-    assert not hasattr(pellsum, "solutions_within")
-    with pytest.raises(ImportError):
-        from pellsum import solutions_within  # noqa: F401
+    # names that moved out of the package or were deleted
+    for name in ("solutions_within", "unit_power_form", "UnitPowerForm", "sunit_from_rational"):
+        assert not hasattr(pellsum, name)
+        with pytest.raises(ImportError):
+            exec(f"from pellsum import {name}", {})

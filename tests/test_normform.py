@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pellsum.errors import InvariantViolationError, NotSquarefreeError
 from pellsum.normform import (
@@ -12,10 +14,10 @@ from pellsum.normform import (
     sign_variants,
     solution_classes,
     step,
-    unit_power_form,
 )
-from pellsum.pell import pell_data
+from pellsum.pell import continued_fraction_sqrt, pell_data
 from pellsum.quadfield import QuadNum, is_squarefree, quad
+from pellsum.recurrences import LinearRecurrence, binet
 
 from norm_oracle import solutions_within
 
@@ -160,29 +162,47 @@ def test_elements_are_sorted_and_closed_under_stepping():
             assert nxt in elems
 
 
-def test_unit_power_form_matches_orbit_iteration():
-    for d, m in ((13, 4), (2, -1), (5, 4)):
-        problem = NormFormProblem(d, m)
-        for orbit in solution_classes(problem).orbits:
-            for coord in (1, 2):
-                form = unit_power_form(problem, orbit, coord)
-                pair = orbit.representative
-                for a in range(21):
-                    assert form.evaluate(a) == pair[coord - 1], (d, m, coord, a)
-                    pair = orbit.step(pair)
+def _fundamental_x(d):
+    # x1 from the period alone: pell_data's automorph scan does not finish
+    # for some d < 1000 (d = 421), and the seed window grows with x1
+    a0, period = continued_fraction_sqrt(d)
+    p_prev, p = 1, a0
+    for a in period[:-1]:
+        p_prev, p = p, a * p + p_prev
+    return p if len(period) % 2 == 0 else 2 * p * p + 1
 
 
-def test_unit_power_form_shape():
-    problem = NormFormProblem(13, 4)
-    orbit = solution_classes(problem).orbits[0]
-    form = unit_power_form(problem, orbit, 1)
-    assert form.coordinate == 1
-    assert form.c2 == form.c1.conjugate()
-    assert form.eps.norm() == 1
-    assert form.evaluate(0) == 11 and form.evaluate(1) == 119
-    other = solution_classes(NormFormProblem(5, 4)).orbits[0]
-    with pytest.raises(ValueError):
-        unit_power_form(problem, other, 1)
+SMALL_UNIT_D = [d for d in range(2, 1000) if is_squarefree(d) and _fundamental_x(d) <= 10**6]
+
+
+@st.composite
+def solvable_problems(draw):
+    # m = k^2 * (x^2 - d*y^2) for x next to y*sqrt(d), so 0 < |m| <= 100 and
+    # the problem has a class; most (d, m) drawn at random have none
+    d = draw(st.sampled_from(SMALL_UNIT_D))
+    y = draw(st.integers(1, 2))
+    x = isqrt(d * y * y) + draw(st.integers(0, 1))
+    m = x * x - d * y * y
+    assume(abs(m) <= 100)
+    return d, m * draw(st.integers(1, isqrt(100 // abs(m)))) ** 2
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(solvable_problems())
+def test_class_coordinates_are_binet_values(problem):
+    d, m = problem
+    # along a class with automorph (t, u), each coordinate is
+    # c1*eps^a + c2*conj(eps)^a with eps = (t + u*sqrt(d))/2: the order-2
+    # recurrence with coefficients (t, -1) started at the representative
+    for orbit in solution_classes(NormFormProblem(d, m)).orbits:
+        t, u = orbit.automorph
+        walk = [orbit.representative]
+        for _ in range(20):
+            walk.append(orbit.step(walk[-1]))
+        for coord in (0, 1):
+            form = binet(LinearRecurrence((t, -1), (walk[0][coord], walk[1][coord])))
+            assert form.roots[0] == quad(Fraction(t, 2), Fraction(u, 2), d)
+            assert [form.term(a) for a in range(21)] == [pair[coord] for pair in walk]
 
 
 def test_representatives_are_minimal_nontrivial():

@@ -10,7 +10,6 @@ from pellsum.sunits import (
     enumerate_sunits,
     is_prime,
     subsums_nonvanishing,
-    sunit_from_rational,
 )
 
 
@@ -88,22 +87,6 @@ def test_enumeration_membership_examples():
     assert Fraction(120) not in values  # needs 2^3, past the bound
     assert Fraction(-45, 4) in values
     assert Fraction(-45, 8) not in values  # likewise 2^-3
-
-
-def test_roundtrip_through_factorization():
-    basis = SPrimeSet((2, 3, 5))
-    for unit in enumerate_sunits(basis, 2):
-        again = sunit_from_rational(basis, unit.value)
-        assert again == unit, unit.value
-    lone = sunit_from_rational(basis, Fraction(-45, 8))
-    assert lone.sign == -1 and lone.exponents == (-3, 2, 1)
-
-
-def test_from_rational_rejects_rough_numbers():
-    basis = SPrimeSet((2, 3, 5))
-    for bad in (Fraction(7), Fraction(22, 5), Fraction(0)):
-        with pytest.raises(ValueError):
-            sunit_from_rational(basis, bad)
 
 
 def test_sunit_value():
