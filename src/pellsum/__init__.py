@@ -36,7 +36,7 @@ _LAYER_NAMES = {
         "coordinate_set",
         "solution_classes",
     ),
-    "partitions": ("bell_number", "set_partitions"),
+    "partitions": ("PartitionReport", "bell_number", "partition_analysis", "set_partitions"),
     "pell": ("PellData", "continued_fraction_sqrt", "pell_data"),
     "quadfield": (
         "QuadNum",
@@ -50,6 +50,8 @@ _LAYER_NAMES = {
         "DegeneracyVerdict",
         "DependenceVerdict",
         "LinearRecurrence",
+        "RecurrenceHypotheses",
+        "audit_hypotheses",
         "binet",
         "characteristic_roots",
         "is_degenerate",
@@ -59,16 +61,12 @@ _LAYER_NAMES = {
     ),
     "search": (
         "PairHit",
-        "PartitionReport",
-        "RecurrenceHypotheses",
         "SearchReport",
         "SUnitHit",
-        "audit_hypotheses",
         "coordinate_index",
         "describe_bound",
         "digit_count",
         "pair_sum_search",
-        "partition_analysis",
         "schlickewei_bound",
         "sunit_sum_search",
         "vanishing_pair_sums",

@@ -257,3 +257,38 @@ def verify_remark(remark_id: str, bound: int) -> FixtureReport:
         discrepancies=tuple(data["discrepancies"]),
         notes=tuple(data["notes"]),
     )
+
+
+# the `verify-remark` subcommand handler (cli.main dispatches here)
+def _cmd_verify_remark(args):
+    report = verify_remark(args.id, args.n)
+    results = {
+        "id": report.remark_id,
+        "bound": report.bound,
+        "agreement": report.agreement,
+        "checks": [
+            {
+                "name": check.name,
+                "passed": check.passed,
+                "expected": check.expected,
+                "computed": check.computed,
+            }
+            for check in report.checks
+        ],
+        "discrepancies": list(report.discrepancies),
+        "notes": list(report.notes),
+    }
+    lines = [f"fixture {report.remark_id} replayed up to n = {report.bound}"]
+    for check in report.checks:
+        mark = "ok " if check.passed else "DIFF"
+        lines.append(f"  {mark} {check.name}")
+        if not check.passed:
+            lines.append(f"       expected {check.expected}, got {check.computed}")
+    for text in report.discrepancies:
+        lines.append(f"  flag {text}")
+    lines.append(
+        "agreement: every check reproduced"
+        if report.agreement
+        else "agreement: NO, see DIFF lines"
+    )
+    return {}, results, lines

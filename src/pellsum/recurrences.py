@@ -1,5 +1,6 @@
-"""Integer linear recurrences: exact terms, order-2 closed forms, degeneracy
-and multiplicative dependence of roots.
+"""Integer linear recurrences: exact terms, order-2 closed forms, degeneracy,
+multiplicative dependence of roots, the audit of the finiteness hypotheses,
+and the `recur`, `binet` and `hypotheses` subcommands.
 
 Roots live in Fraction (rational case) or QuadNum (quadratic case, d may be
 negative); orders 3 and 4 are handled only when the characteristic
@@ -9,6 +10,7 @@ polynomial splits into integer linear and quadratic factors.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt
 
 from ._records import record
@@ -362,3 +364,138 @@ def roots_multiplicatively_independent(alpha, beta, expbound: int) -> Dependence
         if found:
             return DependenceVerdict(True, min(found), expbound)
     return DependenceVerdict(False, None, expbound)
+
+
+# -- hypothesis audit -------------------------------------------------------
+
+
+@record
+class RecurrenceHypotheses:
+    """The four conditions the pair-sum finiteness statement needs.
+
+    independence holds one certificate per root pair (1-based indices);
+    unity_orders has one entry per root (None = not a root of unity up to
+    order 12). applicable is the plain conjunction.
+    """
+
+    recurrence: LinearRecurrence
+    degeneracy: DegeneracyVerdict
+    independence: tuple[tuple[int, int, DependenceVerdict], ...]
+    unity_orders: tuple[int | None, ...]
+    last_coeff_not_unit: bool
+    expbound: int
+
+    @property
+    def nondegenerate(self) -> bool:
+        return not self.degeneracy.degenerate
+
+    @property
+    def pairwise_independent(self) -> bool:
+        return all(v.independent for _, _, v in self.independence)
+
+    @property
+    def no_root_of_unity(self) -> bool:
+        return all(order is None for order in self.unity_orders)
+
+    @property
+    def applicable(self) -> bool:
+        return (
+            self.nondegenerate
+            and self.pairwise_independent
+            and self.no_root_of_unity
+            and self.last_coeff_not_unit
+        )
+
+
+def audit_hypotheses(rec: LinearRecurrence, expbound: int = 10) -> RecurrenceHypotheses:
+    """Check all four hypotheses with exact root data (order <= 4)."""
+    roots = characteristic_roots(rec)
+    pairs = tuple(
+        (i + 1, j + 1, roots_multiplicatively_independent(a, b, expbound))
+        for (i, a), (j, b) in combinations(enumerate(roots), 2)
+    )
+    orders = tuple(root_of_unity_order(r) for r in roots)
+    return RecurrenceHypotheses(
+        rec,
+        is_degenerate(rec),
+        pairs,
+        orders,
+        abs(rec.coeffs[-1]) != 1,
+        expbound,
+    )
+
+
+# -- subcommand handlers (cli.main dispatches here) ----------------------------
+
+
+def _rec_config(rec) -> dict:
+    return {"coeffs": list(rec.coeffs), "initials": list(rec.initials)}
+
+
+def _hypotheses_json(hyp) -> dict:
+    return {
+        "exp_bound": hyp.expbound,
+        "nondegenerate": hyp.nondegenerate,
+        "degeneracy_detail": hyp.degeneracy.detail,
+        "unity_orders": list(hyp.unity_orders),
+        "independence": [
+            {
+                "roots": [i, j],
+                "dependent": verdict.dependent,
+                "witness": list(verdict.witness) if verdict.witness else None,
+                "exp_bound": verdict.bound,
+            }
+            for i, j, verdict in hyp.independence
+        ],
+        "pairwise_independent": hyp.pairwise_independent,
+        "no_root_of_unity": hyp.no_root_of_unity,
+        "last_coeff_not_unit": hyp.last_coeff_not_unit,
+        "applicable": hyp.applicable,
+    }
+
+
+def _cmd_recur(args):
+    rec = LinearRecurrence.from_literal(args.rec)
+    terms = terms_up_to(rec, args.n)
+    results = {"order": rec.order, "terms": terms}
+    shown = ", ".join(map(str, terms[:15])) + (", ..." if len(terms) > 15 else "")
+    lines = [f"order {rec.order}, terms U_0 .. U_{args.n}: {shown}"]
+    return {"rec": _rec_config(rec)}, results, lines
+
+
+def _cmd_binet(args):
+    rec = LinearRecurrence.from_literal(args.rec)
+    form = binet(rec)
+    first_terms = [form.term(n) for n in range(11)]
+    results = {
+        "discriminant": form.discriminant,
+        "roots": [str(root) for root in form.roots],
+        "coefficients": [str(coeff) for coeff in form.coeffs],
+        "first_terms": first_terms,
+    }
+    lines = [
+        f"discriminant {form.discriminant}",
+        f"roots {form.roots[0]} and {form.roots[1]}",
+        f"U_n = ({form.coeffs[0]}) * alpha^n + ({form.coeffs[1]}) * beta^n",
+        "first terms: " + ", ".join(map(str, first_terms)),
+    ]
+    return {"rec": _rec_config(rec)}, results, lines
+
+
+def _cmd_hypotheses(args):
+    rec = LinearRecurrence.from_literal(args.rec)
+    hyp = audit_hypotheses(rec, args.exp_bound)
+    results = _hypotheses_json(hyp)
+    flags = [
+        ("nondegenerate", hyp.nondegenerate),
+        ("roots pairwise independent", hyp.pairwise_independent),
+        ("no root of unity", hyp.no_root_of_unity),
+        ("last coefficient not a unit", hyp.last_coeff_not_unit),
+    ]
+    lines = [f"{'ok ' if ok else 'NO '} {name}" for name, ok in flags]
+    lines.append(
+        "all hypotheses hold" if hyp.applicable else "hypotheses do not all hold"
+    )
+    if not hyp.nondegenerate:
+        lines.insert(0, hyp.degeneracy.detail)
+    return {"rec": _rec_config(rec)}, results, lines

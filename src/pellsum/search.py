@@ -1,6 +1,6 @@
-"""Bounded Diophantine searches over norm-form coordinate sets, the
-hypothesis audit for the finiteness statement on pair sums, vanishing
-pair-sum detection, the exponential counting bound, and partition analysis.
+"""Bounded Diophantine searches over norm-form coordinate sets, vanishing
+pair-sum detection, the exponential counting bound, and the `pairs-search`,
+`sunit-search`, `vanishing` and `bound` subcommands.
 
 Every search materializes coordinate sets up to a hard bound B and reports
 hits "within B"; the finiteness results themselves are ineffective, so
@@ -13,29 +13,15 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import comb, prod
 
 from ._records import record
-from .errors import (
-    InvariantViolationError,
-    SearchBudgetError,
-    TooManyIndicesError,
-    UnsupportedOrderError,
-)
+from .errors import InvariantViolationError, SearchBudgetError, UnsupportedOrderError
 from .normform import NormFormProblem, solution_classes
-from .recurrences import (
-    DegeneracyVerdict,
-    DependenceVerdict,
-    LinearRecurrence,
-    binet,
-    characteristic_roots,
-    is_degenerate,
-    root_of_unity_order,
-    roots_multiplicatively_independent,
-    terms_up_to,
-)
-from .sunits import SPrimeSet, SubsumCertificate, enumerate_sunits, subsums_nonvanishing
+
+# The recurrence and S-unit layers are imported inside the kernels that use
+# them, so a job loads only its own (the cli module docstring says why).
 
 
 def resolve_shard_count() -> int:
@@ -77,65 +63,6 @@ def coordinate_index(
 def _memberships(index, value: int) -> tuple[tuple[int, tuple[int, int]], ...]:
     return tuple(
         (coord, index[coord][value]) for coord in (1, 2) if value in index[coord]
-    )
-
-
-# -- hypothesis audit -------------------------------------------------------
-
-
-@record
-class RecurrenceHypotheses:
-    """The four conditions the pair-sum finiteness statement needs.
-
-    independence holds one certificate per root pair (1-based indices);
-    unity_orders has one entry per root (None = not a root of unity up to
-    order 12). applicable is the plain conjunction.
-    """
-
-    recurrence: LinearRecurrence
-    degeneracy: DegeneracyVerdict
-    independence: tuple[tuple[int, int, DependenceVerdict], ...]
-    unity_orders: tuple[int | None, ...]
-    last_coeff_not_unit: bool
-    expbound: int
-
-    @property
-    def nondegenerate(self) -> bool:
-        return not self.degeneracy.degenerate
-
-    @property
-    def pairwise_independent(self) -> bool:
-        return all(v.independent for _, _, v in self.independence)
-
-    @property
-    def no_root_of_unity(self) -> bool:
-        return all(order is None for order in self.unity_orders)
-
-    @property
-    def applicable(self) -> bool:
-        return (
-            self.nondegenerate
-            and self.pairwise_independent
-            and self.no_root_of_unity
-            and self.last_coeff_not_unit
-        )
-
-
-def audit_hypotheses(rec: LinearRecurrence, expbound: int = 10) -> RecurrenceHypotheses:
-    """Check all four hypotheses with exact root data (order <= 4)."""
-    roots = characteristic_roots(rec)
-    pairs = tuple(
-        (i + 1, j + 1, roots_multiplicatively_independent(a, b, expbound))
-        for (i, a), (j, b) in combinations(enumerate(roots), 2)
-    )
-    orders = tuple(root_of_unity_order(r) for r in roots)
-    return RecurrenceHypotheses(
-        rec,
-        is_degenerate(rec),
-        pairs,
-        orders,
-        abs(rec.coeffs[-1]) != 1,
-        expbound,
     )
 
 
@@ -193,6 +120,8 @@ def pair_sum_search(
     U_{n2} in [1 - U_{n1}, coordbound - U_{n1}]. Hits come out ordered by
     (n1, n2).
     """
+    from .recurrences import audit_hypotheses, terms_up_to
+
     if nbound < 1 or coordbound < 1:
         raise ValueError("bounds must be >= 1")
     start = time.perf_counter()
@@ -278,6 +207,8 @@ def sunit_sum_search(
     Hits record the certificate; entries are reported in ascending value
     order, hits by (total, entries).
     """
+    from .sunits import enumerate_sunits, subsums_nonvanishing
+
     if not 1 <= tuple_size <= 4:
         raise ValueError("tuple size must be between 1 and 4")
     if coordbound < 1:
@@ -357,6 +288,8 @@ def vanishing_pair_sums(
     quadratic field has order at most 6, so root_of_unity_order decides it.
     The full sum is tested on the integer terms. (0, 0) counts when U_0 = 0.
     """
+    from .recurrences import binet, root_of_unity_order, terms_up_to
+
     if nbound < 1:
         raise ValueError("nbound must be >= 1")
     form = binet(rec)
@@ -463,53 +396,148 @@ def describe_bound(n: int, *, digits: int | None = None) -> str:
     return f"{lead[0]}.{lead[1:]}e+{digits - 1} ({digits} digits)"
 
 
-# -- partition analysis --------------------------------------------------------
+# -- subcommand handlers (cli.main dispatches here) ----------------------------
 
 
-@record
-class PartitionReport:
-    """Pairwise dependence evidence inside the blocks of one partition.
-
-    witnesses lists (i, j, (p, q)) for every dependent in-block pair,
-    1-based. A dependence witness is necessary evidence toward a nontrivial
-    relation group for the partition; its absence is only 'independent up
-    to E', never a proof.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
-    witnesses: tuple[tuple[int, int, tuple[int, int]], ...]
-    verdict: str
+def _csv_ints(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def partition_analysis(bases, expbound: int) -> tuple[PartitionReport, ...]:
-    """For every set partition of the base indices, certify in-block pairwise
-    dependences or report independence up to expbound. Each base pair's
-    verdict is computed once and read by every partition holding the pair."""
-    from .partitions import set_partitions
+def _membership_json(memberships) -> list[dict]:
+    return [{"coord": coord, "solution": list(pair)} for coord, pair in memberships]
 
-    n = len(bases)
-    if n < 2:
-        raise ValueError("need at least two bases")
-    if n > 8:
-        raise TooManyIndicesError(f"{n} bases means Bell({n}) partitions; capped at 8")
-    verdicts = {
-        (i, j): roots_multiplicatively_independent(bases[i], bases[j], expbound)
-        for i, j in combinations(range(n), 2)
+
+def _search_json(report) -> dict:
+    out = {
+        "kind": report.kind,
+        "d": report.problem.d,
+        "m": report.problem.m,
+        "bounds": dict(report.bounds),
+        "hit_count": len(report.hits),
+        "stabilization": {
+            "half_box_hits": report.stabilization[0],
+            "full_hits": report.stabilization[1],
+            "stable": report.stable,
+        },
     }
-    reports = []
-    for partition in set_partitions(n):
-        witnesses = tuple(
-            (i + 1, j + 1, verdicts[i, j].witness)
-            for block in partition
-            for i, j in combinations(block, 2)
-            if verdicts[i, j].dependent
+    if report.kind == "pair-sum":
+        from .recurrences import _hypotheses_json
+
+        out["hits"] = [
+            {
+                "n1": hit.n1,
+                "n2": hit.n2,
+                "value": hit.value,
+                "memberships": _membership_json(hit.memberships),
+            }
+            for hit in report.hits
+        ]
+        out["hypotheses"] = (
+            _hypotheses_json(report.hypotheses) if report.hypotheses else None
         )
-        label = "certified-dependent" if witnesses else f"independent-up-to-{expbound}"
-        reports.append(
-            PartitionReport(
-                tuple(tuple(i + 1 for i in block) for block in partition),
-                witnesses,
-                label,
-            )
+        out["hypotheses_note"] = report.hypotheses_note
+    else:
+        out["hits"] = [
+            {
+                "entries": [str(e) for e in hit.entries],
+                "total": str(hit.total),
+                "memberships": _membership_json(hit.memberships),
+                "certificate": {
+                    "ok": hit.certificate.ok,
+                    "vanishing": list(hit.certificate.vanishing)
+                    if hit.certificate.vanishing
+                    else None,
+                    "size": hit.certificate.size,
+                },
+            }
+            for hit in report.hits
+        ]
+    return out
+
+
+def _search_summary(report) -> list[str]:
+    lines = [
+        f"{report.kind} search over x^2 - {report.problem.d}*y^2 = {report.problem.m}",
+        "bounds: " + ", ".join(f"{name} = {value}" for name, value in report.bounds),
+        f"hits: {len(report.hits)}",
+    ]
+    for hit in report.hits[:20]:
+        where = ", ".join(
+            f"X{coord} via {tuple(pair)}" for coord, pair in hit.memberships
         )
-    return tuple(reports)
+        if report.kind == "pair-sum":
+            lines.append(f"  U_{hit.n1} + U_{hit.n2} = {hit.value} in {where}")
+        else:
+            entries = " + ".join(str(e) for e in hit.entries)
+            lines.append(f"  {entries} = {hit.total} in {where}")
+    if len(report.hits) > 20:
+        lines.append(f"  ... {len(report.hits) - 20} more")
+    half, full = report.stabilization
+    lines.append(
+        f"stabilization: {half} hits in the half box, {full} total"
+        + (" (stable)" if report.stable else " (still growing)")
+    )
+    if report.kind == "pair-sum":
+        if report.hypotheses is not None:
+            verdict = "hold" if report.hypotheses.applicable else "FAIL"
+            lines.append(f"finiteness hypotheses {verdict}")
+        elif report.hypotheses_note:
+            lines.append(report.hypotheses_note)
+    lines.append(f"wall time {report.wall_time:.3f}s")
+    return lines
+
+
+def _cmd_pairs_search(args):
+    from .recurrences import LinearRecurrence, _rec_config
+
+    rec = LinearRecurrence.from_literal(args.rec)
+    problem = NormFormProblem(args.d, args.m)
+    report = pair_sum_search(rec, problem, args.index_bound, args.coord_bound)
+    return {"rec": _rec_config(rec)}, _search_json(report), _search_summary(report)
+
+
+def _cmd_sunit_search(args):
+    from .sunits import SPrimeSet
+
+    basis = SPrimeSet(tuple(_csv_ints(args.primes)))
+    problem = NormFormProblem(args.d, args.m)
+    report = sunit_sum_search(
+        basis, args.tuple_size, args.exp_bound, problem, args.coord_bound
+    )
+    return {"primes": list(basis.primes)}, _search_json(report), _search_summary(report)
+
+
+def _cmd_vanishing(args):
+    from .recurrences import LinearRecurrence, _rec_config
+
+    rec = LinearRecurrence.from_literal(args.rec)
+    hits = vanishing_pair_sums(rec, args.n)
+    results = {
+        "count": len(hits),
+        # the writer builds each hit's dict as it reaches it
+        "hits": ({"n1": n1, "n2": n2, "delta": list(delta)} for n1, n2, delta in hits),
+    }
+    lines = [f"{len(hits)} vanishing subsum(s) with n1 <= n2 <= {args.n}"]
+    for n1, n2, delta in hits[:20]:
+        part = "full sum" if delta == (1, 2) else f"root {delta[0]} part"
+        lines.append(f"  (n1, n2) = ({n1}, {n2}), {part}")
+    if len(hits) > 20:
+        lines.append(f"  ... {len(hits) - 20} more")
+    return {"rec": _rec_config(rec)}, results, lines
+
+
+def _cmd_bound(args):
+    degrees = _csv_ints(args.degrees)
+    value = schlickewei_bound(args.s, degrees, args.field_degree)
+    digits = digit_count(value)
+    shown = describe_bound(value, digits=digits)
+    results = {"digits": digits, "value": shown}
+    lines = [
+        f"bound for {args.s} variable(s), degrees {degrees}, "
+        f"field degree {args.field_degree}:",
+        f"  {shown}" + (f" ({digits} digits)" if digits <= FULL_DIGIT_LIMIT else ""),
+    ]
+    return {"degrees": degrees}, results, lines

@@ -20,12 +20,13 @@ from pellsum.pell import pell_data
 from pellsum.quadfield import QuadNum, is_squarefree, squarefree_decompose, value_equal
 from pellsum.recurrences import (
     LinearRecurrence,
+    audit_hypotheses,
     binet,
     is_degenerate,
     roots_multiplicatively_independent,
     terms_up_to,
 )
-from pellsum.search import audit_hypotheses, pair_sum_search, schlickewei_bound, sunit_sum_search
+from pellsum.search import pair_sum_search, schlickewei_bound, sunit_sum_search
 from pellsum.sunits import SPrimeSet, subsums_nonvanishing
 
 from norm_oracle import solutions_within

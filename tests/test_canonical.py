@@ -4,7 +4,8 @@ cli._write_canonical must pass its sink exactly the text of
 json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\\n", in
 chunks of about 32 Ki characters however deep the document's bulk sits, and
 must encode a generator as json.dumps encodes the list it yields. The
-program never calls json.dumps; the tests use it as the reference.
+program never calls json.dumps; the tests use it as the reference, and
+every subcommand's document must come back unchanged through json.loads.
 """
 
 import hashlib
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from pellsum import cli
 from test_catalog_replay import pinned_jobs
+from test_lazy_imports import EVERY_COMMAND
 
 DENSE = ["vanishing", "--rec=1,-1;0,1", "--n=133", "--format=structured"]
 
@@ -173,3 +175,11 @@ def test_out_and_structured_stdout_share_one_encoding(monkeypatch, capsys, tmp_p
     assert len(calls) == 1
     assert _sha(printed) == pinned_digest(DENSE)
     assert out_file.read_text(encoding="utf-8") == printed
+
+
+@pytest.mark.parametrize("argv", [argv for argv in EVERY_COMMAND if argv != ["--version"]],
+                         ids=lambda argv: argv[0])
+def test_every_subcommands_document_round_trips_through_json(argv, capsys, no_digit_cap):
+    assert cli.main([*argv, "--format=structured"]) == 0
+    printed = capsys.readouterr().out
+    assert printed == oracle(json.loads(printed))

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from pellsum.cli import main, parse_base
+from pellsum.cli import main
+from pellsum.partitions import parse_base
 from pellsum.quadfield import quad
 from fractions import Fraction
 
@@ -230,11 +231,13 @@ def test_report_write_failures_exit_1_with_one_error_line(tmp_path):
     # a full device behind --out or stdout, and a reader that leaves early,
     # for documents and for text summaries; the 606 KB document and the
     # 150 KB summary line are larger than a pipe's buffer, and the small
-    # outputs fit in stdout's buffer until main flushes it. Text runs keep
-    # stdout buffered (PYTHONUNBUFFERED empty): unbuffered, the short write
-    # of the one long line to the closed pipe is dropped unseen
+    # outputs fit in stdout's buffer until main flushes it. The long line
+    # goes to the early reader with stdout buffered and unbuffered: with
+    # PYTHONUNBUFFERED set, the text layer writes to the raw file and drops
+    # what a short write leaves, unless main writes the rest itself
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     buffered = dict(env, PYTHONUNBUFFERED="")
+    unbuffered = dict(env, PYTHONUNBUFFERED="1")
     small = [sys.executable, "-m", "pellsum", "pell", "--d=13", "--format=structured"]
     beside = [*DENSE, "--format=structured", "--out", str(tmp_path / "dense.json")]
     recur = [sys.executable, "-m", "pellsum", "recur", "--rec=1,1;0,1", "--n=3"]
@@ -247,7 +250,8 @@ def test_report_write_failures_exit_1_with_one_error_line(tmp_path):
         for argv in ([*DENSE, "--format=structured"], small, beside, recur, recur_beside):
             runs.append(subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True,
                                        env=buffered, timeout=60))
-    for argv, reader_env in (([*DENSE, "--format=structured"], env), (wide, buffered)):
+    for argv, reader_env in (([*DENSE, "--format=structured"], env), (wide, buffered),
+                             (wide, unbuffered)):
         reader = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                   text=True, env=reader_env)
         reader.stdout.read(100)
@@ -258,7 +262,7 @@ def test_report_write_failures_exit_1_with_one_error_line(tmp_path):
     assert [(run.returncode, run.stderr) for run in runs] == [
         (1, "error: cannot write report to /dev/full: No space left on device\n"),
         *[(1, "error: cannot write report to stdout: No space left on device\n")] * 5,
-        *[(1, "error: cannot write report to stdout: Broken pipe\n")] * 2,
+        *[(1, "error: cannot write report to stdout: Broken pipe\n")] * 3,
     ]
     assert runs[0].stdout == ""
     assert (tmp_path / "recur.json").read_text(encoding="utf-8").startswith("{")
@@ -301,9 +305,8 @@ def test_invariant_violation_exits_2(capsys, monkeypatch):
     def explode(args):
         raise InvariantViolationError("cross-check failed")
 
-    # main builds a fresh parser, which binds the module's handler by name
-    handler = cli.build_parser().parse_args(["pell", "--d", "13"]).handler
-    monkeypatch.setattr(cli, handler.__name__, explode)
+    # main looks the handler up by name in its module on each dispatch
+    monkeypatch.setattr(cli, "_cmd_pell", explode)
     code, out, err = run_main(["pell", "--d", "13"], capsys)
     assert code == 2
     assert "invariant violation" in err

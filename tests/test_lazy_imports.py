@@ -1,5 +1,8 @@
 """Layers load on first use: the package re-exports lazily, the CLI per job.
 
+Each subcommand loads exactly the pellsum modules it runs: the CLI core and
+the module holding its handler, with what that module's kernels import.
+
 The import-boundary tests run each command in a fresh interpreter, because
 this test process has already imported every layer. The probe also reports
 `dataclasses` and `inspect`, which no job needs, `importlib.resources` and
@@ -89,6 +92,34 @@ EVERY_COMMAND = [
     ["partitions", "--bases=2,4,3+2*sqrt(2)", "--exp-bound=3"],
     ["verify-remark", "--id=2.3", "--n=50"],
 ]
+
+
+# The pellsum modules every job loads: cli binds the Pell layer at module
+# level, where perfbench/trace_child.py finds and wraps it
+CORE = {"_records", "cli", "errors", "normform", "pell", "quadfield"}
+# what each subcommand loads beyond the core: its handler's module and what
+# that module and the kernels it runs import
+LAYERS_OF = {
+    "--version": set(),
+    "pell": set(),
+    "solve-norm": set(),
+    "coords": set(),
+    "recur": {"recurrences"},
+    "binet": {"recurrences"},
+    "hypotheses": {"recurrences"},
+    "pairs-search": {"recurrences", "search"},
+    "sunit-search": {"search", "sunits"},
+    "vanishing": {"recurrences", "search"},
+    "bound": {"search"},
+    "partitions": {"partitions", "recurrences"},
+    "verify-remark": {"fixtures", "recurrences", "search"},
+}
+NOT_LAYERS = {"dataclasses", "inspect", "importlib.resources", "zipfile", "json"}
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND)
+def test_each_job_loads_exactly_its_layers(argv):
+    assert loaded_layers(argv) - NOT_LAYERS == CORE | LAYERS_OF[argv[0]]
 
 
 @pytest.mark.parametrize("argv", EVERY_COMMAND)

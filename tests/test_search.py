@@ -7,24 +7,23 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pellsum import search
+from pellsum import partitions, search
 from pellsum.errors import RepeatedRootError, SearchBudgetError, TooManyIndicesError
 from pellsum.normform import NormFormProblem, coordinate_set
-from pellsum.partitions import set_partitions
+from pellsum.partitions import partition_analysis, set_partitions
 from pellsum.quadfield import quad
 from pellsum.recurrences import (
     LinearRecurrence,
+    audit_hypotheses,
     binet,
     roots_multiplicatively_independent,
     terms_up_to,
 )
 from pellsum.search import (
-    audit_hypotheses,
     coordinate_index,
     describe_bound,
     digit_count,
     pair_sum_search,
-    partition_analysis,
     schlickewei_bound,
     sunit_sum_search,
     vanishing_pair_sums,
@@ -525,7 +524,7 @@ def test_partition_analysis_decides_each_pair_once(monkeypatch):
         calls.append((alpha, beta))
         return roots_multiplicatively_independent(alpha, beta, expbound)
 
-    monkeypatch.setattr(search, "roots_multiplicatively_independent", counting)
+    monkeypatch.setattr(partitions, "roots_multiplicatively_independent", counting)
     partition_analysis([Fraction(k) for k in range(2, 9)], 3)
     assert len(calls) == 21  # C(7, 2); one call per in-block pair would be 4263
 

@@ -3,15 +3,16 @@
 test_catalog_replay pins the structured documents. This test pins the
 default text output: stdout, stderr and exit code of the same pinned
 catalogue jobs run without --format=structured, of `pellsum --help` and
-every `SUBCOMMAND --help` at COLUMNS=80, and of a few jobs and refusals the
-catalogue does not reach. Searches print a `wall time` line, which is
-dropped before hashing.
+every `SUBCOMMAND --help` at COLUMNS=80, of argparse's usage errors, and of
+a few jobs and refusals the catalogue does not reach. Searches print a
+`wall time` line, which is dropped before hashing.
 
 The sha256 digests in text_mode_digests.json were recorded before the
-subcommands were rewritten to be declared once, in their parser, so any
-front-end change that moves a byte of what users see fails here. The help
-screens are argparse's layout, which differs between Python versions; they
-are compared only on the version the file records.
+subcommands were rewritten to be declared once, in their parser, and the
+usage errors before the parser was built for one subcommand at a time, so
+any front-end change that moves a byte of what users see fails here. The help
+screens and usage errors are argparse's layout, which differs between
+Python versions; they are compared only on the version the file records.
 """
 
 import hashlib
@@ -46,6 +47,16 @@ CASES = {
         ["recur", "--rec", "nonsense", "--n", "4"],
         ["pell", "--d", "12"],
     ],
+    # usage errors and the flags that leave before any subcommand runs
+    "errors": [
+        [],
+        ["nosuch"],
+        ["--version", "recur"],
+        ["-h", "recur"],
+        ["recur"],
+        ["recur", "--rec=1,1;0,1", "--n=x"],
+        ["coords", "--d=13", "--m=4", "--coord=3", "--bound=9"],
+    ],
 }
 
 
@@ -72,8 +83,8 @@ def run_text(argv, capsys) -> list:
 
 @pytest.mark.parametrize("group", sorted(CASES))
 def test_text_output_keeps_its_bytes(group, capsys, monkeypatch):
-    if group == "help" and sys.version_info[:2] != tuple(DIGESTS["python"]):
-        pytest.skip(f"help screens were recorded on Python {DIGESTS['python']}")
+    if group in ("errors", "help") and sys.version_info[:2] != tuple(DIGESTS["python"]):
+        pytest.skip(f"argparse screens were recorded on Python {DIGESTS['python']}")
     monkeypatch.setenv("COLUMNS", "80")
     got = {" ".join(argv): run_text(argv, capsys) for argv in CASES[group]}
     want = DIGESTS[group]
