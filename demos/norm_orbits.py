@@ -11,6 +11,7 @@ from pellsum import (
     coordinate_set,
     solution_classes,
 )
+from pellsum.normform import inv_step
 
 problem = NormFormProblem(13, 4)
 sol = solution_classes(problem)
@@ -24,7 +25,7 @@ pair = orbit.representative
 for _ in range(4):
     pair = orbit.step(pair)
     print("  forward ->", pair)
-pair = orbit.inv_step(orbit.representative)
+pair = inv_step(orbit.automorph, problem.d, *orbit.representative)
 print("  backward ->", pair, "(the seed (2, 0) folds in here)")
 
 print()

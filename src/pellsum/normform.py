@@ -80,9 +80,6 @@ class SolutionOrbit:
     def step(self, pair: tuple[int, int]) -> tuple[int, int]:
         return step(self.automorph, self.problem.d, *pair)
 
-    def inv_step(self, pair: tuple[int, int]) -> tuple[int, int]:
-        return inv_step(self.automorph, self.problem.d, *pair)
-
     def elements(self, bound: int, coord: int = 1) -> list[tuple[int, int]]:
         """Orbit members with the chosen coordinate <= bound, sorted by (y, x).
 

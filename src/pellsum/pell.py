@@ -13,14 +13,13 @@ from math import isqrt
 
 from ._records import record
 from .errors import InvariantViolationError, NotSquarefreeError
-from .quadfield import QuadNum, is_squarefree
+from .quadfield import QuadNum, _validate_d
 
 
 def _validate_real_d(d: int) -> None:
     if not isinstance(d, int) or isinstance(d, bool) or d <= 1:
         raise NotSquarefreeError(f"d must be a squarefree integer > 1, got {d!r}")
-    if not is_squarefree(d):
-        raise NotSquarefreeError(f"d must be squarefree, got {d}")
+    _validate_d(d)
 
 
 def continued_fraction_sqrt(d: int) -> tuple[int, list[int]]:

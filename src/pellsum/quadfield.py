@@ -1,67 +1,79 @@
-"""Exact arithmetic in quadratic fields Q(sqrt(d)).
+"""Exact arithmetic in quadratic fields Q(sqrt(d)), and integer factoring.
 
 Elements are x + y*sqrt(d) with rational x, y and squarefree integer d.
 Negative d is allowed (imaginary quadratic); the Pell machinery elsewhere
-restricts itself to d > 1.
+restricts itself to d > 1. Each field's d is checked once per process.
+Every factoring in the package (squarefree tests and parts, divisors) is
+_factor's trial division, which refuses past FACTOR_TRIAL_LIMIT.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
-from math import isqrt
+from itertools import chain
 
 from ._records import frozen_delattr, frozen_setattr
-from .errors import MixedFieldError, NotSquarefreeError
+from .errors import MixedFieldError, NotSquarefreeError, SearchBudgetError
 
 Rational = int | Fraction
+
+# Largest trial divisor _factor tries: under 1 s of division, then a refusal.
+FACTOR_TRIAL_LIMIT = 10**7
+_ACCEPTED_D: set[int] = set()  # every d _validate_d has passed
+
+
+def _factor(n: int) -> Iterator[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing |n|, p ascending.
+
+    A generator: a caller may stop at the factor that decides its answer.
+    Raises SearchBudgetError when the cofactor left after trial division up
+    to FACTOR_TRIAL_LIMIT is past its square, so may be composite.
+    """
+    m = abs(n)
+    for p in chain((2,), range(3, FACTOR_TRIAL_LIMIT + 1, 2)):
+        if p * p > m:
+            break
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            yield p, e
+    if m > FACTOR_TRIAL_LIMIT**2:
+        raise SearchBudgetError(
+            f"factoring {n} needs trial divisors past {FACTOR_TRIAL_LIMIT}"
+        )
+    if m > 1:
+        yield m, 1
 
 
 def is_squarefree(n: int) -> bool:
     """True when no prime square divides |n|. 0 is not squarefree."""
-    n = abs(n)
-    if n == 0:
-        return False
-    if n % 4 == 0:
-        return False
-    while n % 2 == 0:
-        n //= 2
-    p = 3
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        while n % p == 0:
-            n //= p
-        p += 2
-    return True
+    return n != 0 and all(e == 1 for _, e in _factor(n))
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n = c^2 * d0 with c >= 1 and d0 squarefree (sign kept on d0)."""
     if n == 0:
         raise ValueError("0 has no squarefree part")
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    c, d0 = 1, 1
-    p = 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
+    c, d0 = 1, -1 if n < 0 else 1
+    for p, e in _factor(n):
         c *= p ** (e // 2)
-        if e % 2:
-            d0 *= p
-        p += 1 if p == 2 else 2
-    return c, sign * d0 * n
+        d0 *= p ** (e % 2)
+    return c, d0
 
 
 def _validate_d(d: int) -> None:
     if not isinstance(d, int) or isinstance(d, bool):
         raise NotSquarefreeError(f"d must be an int, got {d!r}")
+    if d in _ACCEPTED_D:
+        return
     if d in (0, 1):
         raise NotSquarefreeError(f"d must not be 0 or 1, got {d}")
     if not is_squarefree(d):
         raise NotSquarefreeError(f"d must be squarefree, got {d}")
+    _ACCEPTED_D.add(d)
 
 
 class QuadNum:

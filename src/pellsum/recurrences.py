@@ -15,7 +15,7 @@ from math import isqrt
 
 from ._records import record
 from .errors import InvariantViolationError, RepeatedRootError, UnsupportedOrderError
-from .quadfield import QuadNum, _value_key, squarefree_decompose, value_equal
+from .quadfield import QuadNum, _factor, _value_key, squarefree_decompose, value_equal
 
 Root = Fraction | QuadNum
 
@@ -104,17 +104,12 @@ def _quadratic_roots(a: int, b: int) -> tuple[Root, Root]:
     )
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            small.append(k)
-            if k * k != n:
-                large.append(n // k)
-        k += 1
-    return small + large[::-1]
+def _signed_divisors(n: int) -> list[int]:
+    """Every k and -k with k dividing the nonzero n, ordered -1, 1, -2, 2, ..."""
+    divisors = [1]
+    for p, e in _factor(n):
+        divisors = [k * p**i for k in divisors for i in range(e + 1)]
+    return sorted((x for k in divisors for x in (k, -k)), key=lambda v: (abs(v), v))
 
 
 def _root_key(r: Root):
@@ -127,8 +122,9 @@ def characteristic_roots(rec: LinearRecurrence) -> tuple[Root, ...]:
     """Roots of x^d - a1*x^{d-1} - ... - ad, with multiplicity, order d <= 4.
 
     Deterministic order: rationals ascending, then quadratic roots by
-    (d, x, y). Raises UnsupportedOrder when an irreducible factor of degree
-    >= 3 remains; 0 is never a root since ad != 0.
+    (d, x, y). Raises UnsupportedOrderError when an irreducible factor of
+    degree >= 3 remains, SearchBudgetError when a number to factor is past
+    quadfield.FACTOR_TRIAL_LIMIT; 0 is never a root since ad != 0.
     """
     d = rec.order
     if d > 4:
@@ -138,20 +134,17 @@ def characteristic_roots(rec: LinearRecurrence) -> tuple[Root, ...]:
     # poly[k] is the coefficient of x^(deg-k), monic
     poly = [1] + [-a for a in rec.coeffs]
     roots: list[Root] = []
-    changed = True
-    while changed and len(poly) > 3:
-        changed = False
-        const = poly[-1]
-        for r in sorted((x for k in _divisors(const) for x in (k, -k)), key=lambda v: (abs(v), v)):
+    # each rational root divides the first constant, so factor it once (order > 2)
+    for r in _signed_divisors(poly[-1]) if d > 2 else ():
+        while len(poly) > 3:
             quot, acc = [], 0
             for c in poly:
                 acc = acc * r + c
                 quot.append(acc)
-            if quot.pop() == 0:
-                roots.append(Fraction(r))
-                poly = quot
-                changed = True
+            if quot.pop():
                 break
+            roots.append(Fraction(r))
+            poly = quot
     deg = len(poly) - 1
     if deg == 1:
         roots.append(Fraction(-poly[1]))
@@ -173,9 +166,7 @@ def characteristic_roots(rec: LinearRecurrence) -> tuple[Root, ...]:
 
 def _split_quartic(p: int, q: int, r: int, s: int):
     # x^4+px^3+qx^2+rx+s = (x^2+ax+b)(x^2+cx+e) with integer a,b,c,e
-    for b in sorted((x for k in _divisors(s) for x in (k, -k)), key=lambda v: (abs(v), v)):
-        if s % b:
-            continue
+    for b in _signed_divisors(s):
         e = s // b
         disc = p * p - 4 * (q - b - e)
         if disc < 0:

@@ -61,3 +61,11 @@ def root_power_degeneracy(rec):
                     return DegeneracyVerdict(True, k, repeated, what)
     detail = f"no root ratio is a root of unity up to order {MAX_UNITY_ORDER}"
     return DegeneracyVerdict(False, None, False, detail)
+
+
+def characteristic_value(rec, x):
+    """x^d - a1*x^(d-1) - ... - ad at x, exactly, by Horner's rule."""
+    value = Fraction(1)
+    for a in rec.coeffs:
+        value = value * x - a
+    return value

@@ -10,8 +10,10 @@ import pytest
 
 from pellsum.cli import main
 from pellsum.partitions import parse_base
-from pellsum.quadfield import quad
+from pellsum.quadfield import quad, value_equal
+from pellsum.recurrences import LinearRecurrence, characteristic_roots
 from fractions import Fraction
+from recurrence_oracle import characteristic_value
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -334,3 +336,44 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert "pellsum" in capsys.readouterr().out
+
+
+def test_large_integers_answer_or_refuse_within_seconds():
+    # Each job factors a number near 1e17 or 1e18: a discriminant, a
+    # constant term, or a field's d. Trial division stops at
+    # FACTOR_TRIAL_LIMIT, so each job answers or refuses within the cap.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "pellsum", *argv],
+                              capture_output=True, env=env, timeout=5)
+
+    pinned = {  # stdout sha256, the bytes trial division without a limit writes
+        ("binet", "--rec=1,100000000000000000;0,1"):
+            "48b4e2908b76a9cda28af0ddbeada80d6128bae7f5fcaeaf7e0bd1412ef61c98",
+        ("hypotheses", "--rec=1,100000000000000000;0,1"):
+            "172d2dd3309570bf6f9cb2d9b7c48336bd65267c9a9712f9e5cca7ac0035ed28",
+    }
+    for argv, digest in pinned.items():
+        job = run(*argv)
+        assert (job.returncode, job.stderr) == (0, b""), argv
+        assert hashlib.sha256(job.stdout).hexdigest() == digest, argv
+
+    literal = "0,0,0,1000000000000000000;1,0,0,0"  # x^4 - 10^18, 361 divisors
+    job = run("hypotheses", f"--rec={literal}")
+    assert job.returncode == 0, job.stderr
+    rec = LinearRecurrence.from_literal(literal)
+    roots = characteristic_roots(rec)
+    assert len(roots) == 4
+    assert all(value_equal(characteristic_value(rec, root), 0) for root in roots)
+
+    for number, argv in (
+        ("100000000000000003", ("pell", "--d=100000000000000003")),
+        ("100000000000000003",
+         ("partitions", "--bases=1+sqrt(100000000000000003),2", "--exp-bound=2")),
+        ("1000000000000000003", ("hypotheses", "--rec=0,0,0,1000000000000000003;1,0,0,0")),
+    ):
+        job = run(*argv)
+        lines = job.stderr.decode().splitlines()
+        assert (job.returncode, job.stdout, len(lines)) == (1, b"", 1), argv
+        assert lines[0].startswith("error: ") and number in lines[0], argv

@@ -192,6 +192,15 @@ def test_characteristic_roots_cubic_and_quartic():
     assert roots == (Fraction(1), Fraction(1))
 
 
+def test_order_two_roots_factor_only_the_discriminant():
+    # a2 = 1e17 + 3 is past the trial-division limit; the discriminant
+    # 6^2 + 4*a2 = 2^4 * 11 * 67 * 283 * 18899 * 6342307 is not
+    rec = LinearRecurrence((6, 10**17 + 3), (0, 1))
+    roots = characteristic_roots(rec)
+    assert set(roots) == set(binet(rec).roots)
+    assert roots[0].d == 11 * 67 * 283 * 18899 * 6342307
+
+
 def test_characteristic_roots_unsupported():
     # x^4 + x + 1 has no rational root and no integer quadratic split
     with pytest.raises(UnsupportedOrderError):
