@@ -11,7 +11,7 @@ from pellsum import (
     coordinate_set,
     solution_classes,
 )
-from pellsum.normform import inv_step
+from pellsum.normform import step
 
 problem = NormFormProblem(13, 4)
 sol = solution_classes(problem)
@@ -25,7 +25,9 @@ pair = orbit.representative
 for _ in range(4):
     pair = orbit.step(pair)
     print("  forward ->", pair)
-pair = inv_step(orbit.automorph, problem.d, *orbit.representative)
+# the conjugate generator (t, -u) steps back
+t, u = orbit.automorph
+pair = step((t, -u), problem.d, *orbit.representative)
 print("  backward ->", pair, "(the seed (2, 0) folds in here)")
 
 print()

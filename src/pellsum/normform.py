@@ -50,16 +50,18 @@ def step(automorph: tuple[int, int], d: int, x: int, y: int) -> tuple[int, int]:
     return a // 2, b // 2
 
 
-def inv_step(automorph: tuple[int, int], d: int, x: int, y: int) -> tuple[int, int]:
-    """Coordinates of (x + y*sqrt(d)) * (t - u*sqrt(d))/2, the inverse of step."""
+def _least(automorph: tuple[int, int], d: int, x: int, y: int) -> tuple[int, int]:
+    """The member of (x, y)'s class with the least y, folded to absolute values.
+
+    Along a class the folded y values fall to one least member and then
+    rise, so stepping down with the conjugate generator (t, -u) stops there.
+    """
     t, u = automorph
-    a = t * x - d * u * y
-    b = t * y - u * x
-    if a % 2 or b % 2:
-        raise InvariantViolationError(
-            f"inverse step left the integers at {(x, y)} under automorph {automorph}"
-        )
-    return a // 2, b // 2
+    while True:
+        a, b = step((t, -u), d, x, y)
+        if abs(b) >= y:
+            return x, y
+        x, y = abs(a), abs(b)
 
 
 @record
@@ -117,8 +119,9 @@ def solution_classes(problem: NormFormProblem) -> NormFormSolutions:
     Seeds come from a direct scan of y values; the window is wide enough
     that stepping any solution down with the even generator lands in it
     before the coordinates can turn negative, so every class is seeded.
-    Seeds are then merged when a step image (folded to absolute values)
-    is itself a seed.
+    Seeds are then grouped by their class's least member (Nagell's
+    fundamental solution, folded to absolute values), which each seed
+    reaches by stepping down.
     """
     d, m = problem.d, problem.m
     data = pell_data(d)
@@ -146,26 +149,9 @@ def solution_classes(problem: NormFormProblem) -> NormFormSolutions:
             return (t, u)
         return even_gen
 
-    parent = {s: s for s in seeds}
-
-    def find(a: tuple[int, int]) -> tuple[int, int]:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for s in seeds:
-        g = gen_for(*s)
-        for img in (step(g, d, *s), inv_step(g, d, *s)):
-            folded = (abs(img[0]), abs(img[1]))
-            if folded in parent:
-                ra, rb = find(s), find(folded)
-                if ra != rb:
-                    parent[ra] = rb
-
     groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for s in seeds:
-        groups.setdefault(find(s), []).append(s)
+        groups.setdefault(_least(gen_for(*s), d, *s), []).append(s)
 
     orbits = []
     for members in groups.values():

@@ -10,6 +10,7 @@ polynomial splits into integer linear and quadratic factors.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import isqrt
 
@@ -118,13 +119,15 @@ def _root_key(r: Root):
     return (0, r, 0, 0)
 
 
+@lru_cache(maxsize=None)
 def characteristic_roots(rec: LinearRecurrence) -> tuple[Root, ...]:
     """Roots of x^d - a1*x^{d-1} - ... - ad, with multiplicity, order d <= 4.
 
     Deterministic order: rationals ascending, then quadratic roots by
     (d, x, y). Raises UnsupportedOrderError when an irreducible factor of
     degree >= 3 remains, SearchBudgetError when a number to factor is past
-    quadfield.FACTOR_TRIAL_LIMIT; 0 is never a root since ad != 0.
+    quadfield.FACTOR_TRIAL_LIMIT; 0 is never a root since ad != 0. Cached,
+    so an audit that needs the roots twice factors ad once.
     """
     d = rec.order
     if d > 4:
@@ -134,8 +137,10 @@ def characteristic_roots(rec: LinearRecurrence) -> tuple[Root, ...]:
     # poly[k] is the coefficient of x^(deg-k), monic
     poly = [1] + [-a for a in rec.coeffs]
     roots: list[Root] = []
-    # each rational root divides the first constant, so factor it once (order > 2)
-    for r in _signed_divisors(poly[-1]) if d > 2 else ():
+    # each rational root divides ad, and so does each constant of a quartic's
+    # quadratic factors: factor ad once (order > 2), as the user gave it
+    divisors = _signed_divisors(rec.coeffs[-1]) if d > 2 else []
+    for r in divisors:
         while len(poly) > 3:
             quot, acc = [], 0
             for c in poly:
@@ -153,7 +158,7 @@ def characteristic_roots(rec: LinearRecurrence) -> tuple[Root, ...]:
     elif deg == 3:
         raise UnsupportedOrderError("irreducible cubic factor; exact roots unavailable")
     elif deg == 4:
-        pair = _split_quartic(poly[1], poly[2], poly[3], poly[4])
+        pair = _split_quartic(poly[1], poly[2], poly[3], poly[4], divisors)
         if pair is None:
             raise UnsupportedOrderError(
                 "quartic does not split into integer quadratics; exact roots unavailable"
@@ -164,9 +169,10 @@ def characteristic_roots(rec: LinearRecurrence) -> tuple[Root, ...]:
     return tuple(sorted(roots, key=_root_key))
 
 
-def _split_quartic(p: int, q: int, r: int, s: int):
-    # x^4+px^3+qx^2+rx+s = (x^2+ax+b)(x^2+cx+e) with integer a,b,c,e
-    for b in _signed_divisors(s):
+def _split_quartic(p: int, q: int, r: int, s: int, divisors: list[int]):
+    # x^4+px^3+qx^2+rx+s = (x^2+ax+b)(x^2+cx+e) with integer a,b,c,e;
+    # divisors are the signed divisors of s
+    for b in divisors:
         e = s // b
         disc = p * p - 4 * (q - b - e)
         if disc < 0:
@@ -197,7 +203,7 @@ class BinetForm:
             raise ValueError("n must be >= 0")
         f1, f2 = self.coeffs
         a1, a2 = self.roots
-        v = _power(a1, n) * f1 + _power(a2, n) * f2
+        v = a1**n * f1 + a2**n * f2
         x = v.x if isinstance(v, QuadNum) else Fraction(v)
         irr = v.y if isinstance(v, QuadNum) else 0
         if irr != 0 or x.denominator != 1:
@@ -225,12 +231,6 @@ def binet(rec: LinearRecurrence) -> BinetForm:
 
 
 # -- degeneracy ------------------------------------------------------------
-
-
-def _power(v, k: int):
-    if isinstance(v, QuadNum):
-        return v**k
-    return Fraction(v) ** k
 
 
 # Highest root-of-unity order tested; 12 covers every root of unity of

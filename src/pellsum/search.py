@@ -50,8 +50,6 @@ def coordinate_index(
                 if x == 0 or y == 0:
                     continue
                 v = (x, y)[coord - 1]
-                if not 1 <= v <= bound:
-                    continue
                 if problem.norm_of((x, y)) != problem.m:
                     raise InvariantViolationError(f"bad orbit element {(x, y)}")
                 prev = index[coord].get(v)
@@ -156,7 +154,7 @@ def pair_sum_search(
     hypotheses, note = None, None
     try:
         hypotheses = audit_hypotheses(rec)
-    except UnsupportedOrderError as exc:
+    except (UnsupportedOrderError, SearchBudgetError) as exc:
         note = f"hypothesis audit unavailable: {exc}"
 
     return SearchReport(

@@ -1,6 +1,25 @@
-"""The solver's solutions in a box, for comparison with direct scans."""
+"""Oracles for the Pell layer: the solver's solutions in a box, for
+comparison with direct scans, and the union-find merge rule that grouped
+seeds into classes before the least-member grouping replaced it.
 
-from pellsum.normform import NormFormProblem, solution_classes
+Run as a script, `python3 tests/norm_oracle.py` compares the solver's
+classes with the union-find grouping of the same seeds for every
+squarefree d < 1000 and 0 < |m| <= 100 whose window is at most 3e5, prints
+the problem count and the mismatch count, and exits 1 on any mismatch.
+"""
+
+import sys
+from math import isqrt
+from pathlib import Path
+
+if __name__ == "__main__":  # run as a script: import the package from this checkout
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from pellsum.normform import NormFormProblem, solution_classes, step
+from pellsum.pell import continued_fraction_sqrt, pell_data
+from pellsum.quadfield import is_squarefree
+
+SWEEP_WINDOW = 3 * 10**5
 
 
 def solutions_within(problem: NormFormProblem, bound: int) -> list[tuple[int, int]]:
@@ -13,3 +32,85 @@ def solutions_within(problem: NormFormProblem, bound: int) -> list[tuple[int, in
     for orbit in solution_classes(problem).orbits:
         found.update(orbit.elements(bound, 1))
     return sorted(found)
+
+
+def fundamental_x(d: int) -> int:
+    """x1 of the fundamental solution of x^2 - d y^2 = 1, from the period alone.
+
+    pell_data's automorph scan does not finish for some d < 1000 (d = 421),
+    so windows are sized from this before the solver is called.
+    """
+    a0, period = continued_fraction_sqrt(d)
+    p_prev, p = 1, a0
+    for a in period[:-1]:
+        p_prev, p = p, a * p + p_prev
+    return p if len(period) % 2 == 0 else 2 * p * p + 1
+
+
+def union_find_classes(problem: NormFormProblem, seeds) -> list[tuple[tuple[int, int], ...]]:
+    """The seeds grouped by merging each with its folded step and inverse
+    step images that are seeds too; each group sorted by (y, x), the groups
+    sorted."""
+    d = problem.d
+    data = pell_data(d)
+    t, u = data.automorph
+    odd = t % 2 == 1
+    x1, y1 = data.fundamental
+    even_gen = (2 * x1, 2 * y1)
+
+    def gen_for(x: int, y: int) -> tuple[int, int]:
+        if not odd or (x - y) % 2 == 0:
+            return (t, u)
+        return even_gen
+
+    parent = {s: s for s in seeds}
+
+    def find(a: tuple[int, int]) -> tuple[int, int]:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for s in seeds:
+        g = gen_for(*s)
+        for img in (step(g, d, *s), step((g[0], -g[1]), d, *s)):
+            folded = (abs(img[0]), abs(img[1]))
+            if folded in parent:
+                ra, rb = find(s), find(folded)
+                if ra != rb:
+                    parent[ra] = rb
+
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for s in seeds:
+        groups.setdefault(find(s), []).append(s)
+    return sorted(tuple(sorted(members, key=lambda p: (p[1], p[0]))) for members in groups.values())
+
+
+def classes_match(problem: NormFormProblem) -> bool:
+    """Do the solver's classes group its seeds as the union-find does?"""
+    orbits = solution_classes(problem).orbits
+    seeds = sorted((s for orbit in orbits for s in orbit.seeds), key=lambda p: (p[1], p[0]))
+    return sorted(orbit.seeds for orbit in orbits) == union_find_classes(problem, seeds)
+
+
+def sweep(limit: int = SWEEP_WINDOW) -> int:
+    """Compare every squarefree d < 1000, 0 < |m| <= 100 with window <= limit;
+    1 when any mismatches."""
+    problems = []
+    for d in filter(is_squarefree, range(2, 1000)):
+        x1 = fundamental_x(d)
+        # (isqrt(|m|) + 1) * 2 * x1 sizes the seed window, up to a factor near sqrt(d)
+        problems += [
+            NormFormProblem(d, m)
+            for m in range(-100, 101)
+            if m and (isqrt(abs(m)) + 1) * 2 * x1 <= limit
+        ]
+    mismatches = [p for p in problems if not classes_match(p)]
+    for p in mismatches:
+        print(f"mismatch: d={p.d} m={p.m}")
+    print(f"{len(problems)} problems, {len(mismatches)} mismatches")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(sweep())

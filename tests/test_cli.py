@@ -376,4 +376,24 @@ def test_large_integers_answer_or_refuse_within_seconds():
         job = run(*argv)
         lines = job.stderr.decode().splitlines()
         assert (job.returncode, job.stdout, len(lines)) == (1, b"", 1), argv
-        assert lines[0].startswith("error: ") and number in lines[0], argv
+        assert lines[0].startswith("error: ") and f"factoring {number} " in lines[0], argv
+
+
+def test_pairs_search_keeps_its_hits_when_the_audit_refuses(capsys):
+    # the audit factors the discriminant 4 * (10^17 + 3), past the trial
+    # limit, after the search has answered: the refusal becomes the note
+    code, out, err = run_main(
+        ["pairs-search", "--rec=0,100000000000000003;0,1", "--d=5", "--m=4",
+         "--n=10", "--bound=100", "--format", "structured"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    assert [(hit["n1"], hit["n2"]) for hit in results["hits"]] == [
+        (0, 1), (1, 2), (1, 4), (1, 6), (1, 8), (1, 10)
+    ]
+    assert results["hypotheses"] is None
+    assert results["hypotheses_note"] == (
+        "hypothesis audit unavailable: factoring 400000000000000012"
+        " needs trial divisors past 10000000"
+    )

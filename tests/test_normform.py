@@ -10,16 +10,16 @@ from pellsum.errors import InvariantViolationError, NotSquarefreeError
 from pellsum.normform import (
     NormFormProblem,
     coordinate_set,
-    inv_step,
     sign_variants,
     solution_classes,
     step,
 )
-from pellsum.pell import continued_fraction_sqrt, pell_data
+from pellsum.pell import pell_data
 from pellsum.quadfield import QuadNum, is_squarefree, quad
 from pellsum.recurrences import LinearRecurrence, binet
 
-from norm_oracle import solutions_within
+import norm_oracle
+from norm_oracle import classes_match, fundamental_x, solutions_within
 
 
 def brute_solutions(d, m, xmax):
@@ -55,7 +55,7 @@ def test_step_and_inverse_are_inverse_maps():
     pair = (11, 3)
     forward = step(aut, 13, *pair)
     assert forward == (119, 33)
-    assert inv_step(aut, 13, *forward) == pair
+    assert step((11, -3), 13, *forward) == pair
     # parity mismatch with an odd automorph is an internal error
     with pytest.raises(InvariantViolationError):
         step(aut, 13, 2, 1)
@@ -162,17 +162,7 @@ def test_elements_are_sorted_and_closed_under_stepping():
             assert nxt in elems
 
 
-def _fundamental_x(d):
-    # x1 from the period alone: pell_data's automorph scan does not finish
-    # for some d < 1000 (d = 421), and the seed window grows with x1
-    a0, period = continued_fraction_sqrt(d)
-    p_prev, p = 1, a0
-    for a in period[:-1]:
-        p_prev, p = p, a * p + p_prev
-    return p if len(period) % 2 == 0 else 2 * p * p + 1
-
-
-SMALL_UNIT_D = [d for d in range(2, 1000) if is_squarefree(d) and _fundamental_x(d) <= 10**6]
+SMALL_UNIT_D = [d for d in range(2, 1000) if is_squarefree(d) and fundamental_x(d) <= 10**6]
 
 
 @st.composite
@@ -203,6 +193,49 @@ def test_class_coordinates_are_binet_values(problem):
             form = binet(LinearRecurrence((t, -1), (walk[0][coord], walk[1][coord])))
             assert form.roots[0] == quad(Fraction(t, 2), Fraction(u, 2), d)
             assert [form.term(a) for a in range(21)] == [pair[coord] for pair in walk]
+
+
+# (d, largest |m|) for each d whose seed window (isqrt(|m|) + 1) * 2 * x1
+# stays within 1e5 for some 0 < |m| <= 100
+WINDOWED = [
+    (d, min(100, (10**5 // (2 * x1)) ** 2 - 1))
+    for d, x1 in ((d, fundamental_x(d)) for d in SMALL_UNIT_D)
+    if 10**5 // (2 * x1) >= 2
+]
+
+
+@st.composite
+def windowed_problems(draw):
+    # m is mostly the product of two norms x^2 - d*y^2 with x next to
+    # y*sqrt(d), possibly negated: such m often have two or more classes,
+    # which a uniform m in [-100, 100] rarely has
+    d, most = draw(st.sampled_from(WINDOWED))
+    m = draw(st.sampled_from((1, -1)))
+    for _ in range(2):
+        y = draw(st.integers(1, 3))
+        x = isqrt(d * y * y) + draw(st.integers(0, 1))
+        m *= x * x - d * y * y
+    if not 0 < abs(m) <= most:
+        m = draw(st.integers(1, most)) * draw(st.sampled_from((1, -1)))
+    return d, m
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(windowed_problems())
+def test_classes_group_seeds_as_the_union_find_did(problem):
+    assert classes_match(NormFormProblem(*problem))
+
+
+def test_class_sweep_counts_problems_and_fails_on_a_mismatch(monkeypatch, capsys):
+    # windows <= 12 leave d = 2 (x1 = 3) with |m| <= 3, d = 3 (x1 = 2) with |m| <= 8
+    assert norm_oracle.sweep(12) == 0
+    assert capsys.readouterr().out == "22 problems, 0 mismatches\n"
+    monkeypatch.setattr(norm_oracle, "union_find_classes", lambda problem, seeds: [])
+    assert norm_oracle.sweep(12) == 1
+    # the 10 problems with a solution each print a mismatch line
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "mismatch: d=2 m=-2" and len(out) == 11
+    assert out[-1] == "22 problems, 10 mismatches"
 
 
 def test_representatives_are_minimal_nontrivial():

@@ -8,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pellsum.cli import main
-from pellsum.errors import RepeatedRootError, UnsupportedOrderError
+from pellsum import recurrences
+from pellsum.errors import RepeatedRootError, SearchBudgetError, UnsupportedOrderError
 from pellsum.quadfield import QuadNum, quad, squarefree_decompose, value_equal
 from pellsum.recurrences import (
     LinearRecurrence,
+    audit_hypotheses,
     binet,
     characteristic_roots,
     is_degenerate,
@@ -199,6 +201,38 @@ def test_order_two_roots_factor_only_the_discriminant():
     roots = characteristic_roots(rec)
     assert set(roots) == set(binet(rec).roots)
     assert roots[0].d == 11 * 67 * 283 * 18899 * 6342307
+
+
+def _count_factorings(monkeypatch) -> list:
+    # recurrences factors only constant terms (discriminants go through
+    # squarefree_decompose); start from an empty root cache
+    calls = []
+    factor = recurrences._factor
+    monkeypatch.setattr(recurrences, "_factor", lambda n: calls.append(n) or factor(n))
+    characteristic_roots.cache_clear()
+    return calls
+
+
+def test_a_quartic_constant_is_factored_once(monkeypatch):
+    calls = _count_factorings(monkeypatch)
+    # x^4 - 99999999999973 (a prime): no rational root, no quadratic split
+    with pytest.raises(UnsupportedOrderError):
+        characteristic_roots(LinearRecurrence((0, 0, 0, 99999999999973), (0, 0, 0, 1)))
+    assert calls == [99999999999973]
+
+
+def test_an_audit_factors_the_constant_once(monkeypatch):
+    calls = _count_factorings(monkeypatch)
+    # (x^2 + x + 9999991)(x^2 + 2x + 9999973): the audit and its degeneracy
+    # verdict both need the roots
+    rec = LinearRecurrence((-3, -19999966, -29999955, -99999640000243), (1, 0, 0, 0))
+    assert audit_hypotheses(rec).applicable
+    assert calls == [-99999640000243]
+
+
+def test_a_factoring_refusal_names_the_coefficient_as_given():
+    with pytest.raises(SearchBudgetError, match="^factoring 1000000000000000003 "):
+        characteristic_roots(LinearRecurrence((0, 0, 0, 10**18 + 3), (1, 0, 0, 0)))
 
 
 def test_characteristic_roots_unsupported():
