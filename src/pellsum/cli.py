@@ -95,7 +95,7 @@ def _cmd_pell(args):
             else f"x^2 - {args.d}*y^2 = -1 has no solution (even period)"
         ),
         f"minimal automorph t^2 - {args.d}*u^2 = 4: {data.automorph}"
-        f", unit {data.unit()}",
+        f", unit {results['unit']}",
     ]
     return {}, results, lines
 

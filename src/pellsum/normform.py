@@ -192,7 +192,7 @@ def coordinate_set(
             if not include_trivial and (x == 0 or y == 0):
                 continue
             v = (x, y)[coord - 1]
-            if 1 <= v <= bound:
+            if v >= 1:
                 values.add(v)
     return sorted(values)
 

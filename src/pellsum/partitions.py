@@ -32,34 +32,25 @@ def bell_number(n: int) -> int:
 def set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All partitions of {0, ..., n-1} as tuples of blocks.
 
-    Generated from restricted growth strings in lexicographic order, so the
-    stream is deterministic; blocks keep ascending element order and are
-    sorted by their smallest element.
+    The stream is in restricted-growth-string order, so it is deterministic;
+    blocks keep ascending element order and are sorted by their smallest
+    element.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    yield from _partitions(n)
+
+
+def _partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    # each partition of {0..n-2} puts n-1 into each block in turn, then
+    # alone: the growth string's last label runs fastest, from 0 upward
     if n == 0:
         yield ()
         return
-    rgs = [0] * n
-
-    def emit() -> tuple[tuple[int, ...], ...]:
-        blocks: list[list[int]] = []
-        for i, b in enumerate(rgs):
-            if b == len(blocks):
-                blocks.append([])
-            blocks[b].append(i)
-        return tuple(tuple(b) for b in blocks)
-
-    def walk(i: int, top: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if i == n:
-            yield emit()
-            return
-        for b in range(top + 2):
-            rgs[i] = b
-            yield from walk(i + 1, max(top, b))
-
-    yield from walk(1, 0)
+    for blocks in _partitions(n - 1):
+        for b in range(len(blocks)):
+            yield blocks[:b] + (blocks[b] + (n - 1,),) + blocks[b + 1 :]
+        yield blocks + ((n - 1,),)
 
 
 # -- partition analysis --------------------------------------------------------

@@ -256,7 +256,7 @@ class DegeneracyVerdict:
     detail: str
 
 
-_UNITY_NAMES = {1: "1", 2: "-1", 3: "a primitive cube root of unity",
+_UNITY_NAMES = {2: "-1", 3: "a primitive cube root of unity",
                 4: "a primitive fourth root of unity",
                 6: "a primitive sixth root of unity"}
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
+from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, prod
@@ -175,9 +176,9 @@ def pair_sum_search(
 # 0.15-0.5 us, so the budget keeps a search to a few seconds; the
 # catalogue's largest S-unit job needs about 2.3e5.
 SUNIT_LOOKUP_BUDGET = 10**7
-# Building one S-unit and its Fraction value costs about 20 us, so the
-# estimate counts each unit as this many lookups.
-_LOOKUPS_PER_UNIT = 100
+# Building one S-unit and its scaled integer takes about 6 us (29,282 units
+# over {2,3,5,7} at E = 5), so the estimate counts a unit as this many lookups.
+_LOOKUPS_PER_UNIT = 20
 
 
 def sunit_sum_search(
@@ -190,13 +191,15 @@ def sunit_sum_search(
     """All size-t multisets of S-units (every |b_i| <= expbound) whose sum
     lies in X1 or X2 and whose nonempty subsums all stay nonzero.
 
-    Every unit times scale = prod p^expbound is an integer, so a multiset
-    is a hit exactly when its scaled sum is x*scale for a coordinate value
-    x, and every such x lies in [1, coordbound]. Each (t-1)-multiset prefix
-    of unit indices is summed once; for each x, the last unit is looked up
-    as x*scale minus the prefix sum in a dict from scaled value to unit
-    index (distinct S-units have distinct values). A unit found below the
-    prefix's last index is skipped, so each multiset is found once.
+    Every unit times scale = prod p^expbound is the integer
+    sign * prod p^(b + expbound), so a multiset is a hit exactly when its
+    scaled sum is x*scale for a coordinate value x, and every such x lies in
+    [1, coordbound]; a unit's Fraction value is read only for the multisets
+    a lookup finds. Each (t-1)-multiset prefix of unit indices is summed
+    once; for each x, the last unit is looked up as x*scale minus the prefix
+    sum in a dict from scaled value to unit index (distinct S-units have
+    distinct values). A unit found below the prefix's last index is skipped,
+    so each multiset is found once.
 
     The work is C(|U|+t-2, t-1) prefixes times |X| lookups, after |U| units
     are built. An estimate past SUNIT_LOOKUP_BUDGET raises SearchBudgetError
@@ -227,9 +230,11 @@ def sunit_sum_search(
             f" the budget is {SUNIT_LOOKUP_BUDGET}"
         )
     units = list(enumerate_sunits(basis, expbound))
-    values = [u.value for u in units]
     scale = prod(p**expbound for p in basis.primes)
-    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    scaled = [
+        u.sign * prod(p ** (b + expbound) for p, b in zip(basis.primes, u.exponents))
+        for u in units
+    ]
     position = {s: k for k, s in enumerate(scaled)}
     goals = [(x, x * scale) for x in targets]
     half_box = {
@@ -245,7 +250,7 @@ def sunit_sum_search(
             if k is None or k < last:
                 continue
             picked = prefix + (k,)
-            entry_vals = tuple(sorted(values[j] for j in picked))
+            entry_vals = tuple(sorted(units[j].value for j in picked))
             cert = subsums_nonvanishing(entry_vals)
             if cert.ok:
                 hit = SUnitHit(entry_vals, Fraction(x), _memberships(index, x), cert)
@@ -316,10 +321,10 @@ def vanishing_pair_sums(
 # -- counting bound ----------------------------------------------------------
 
 
-# Bits schlickewei_bound may build before it refuses. Building the integer is
-# cheap, but describe_bound counts its decimal digits in time superlinear in
-# the bit length: `bound --s 3 --degrees 4` (A = 35, 1.5e6 bits) answers in
-# about a second, `--s 3 --degrees 6` (A = 84, 2.1e7 bits) took 41 s.
+# Bits schlickewei_bound may build before it refuses. The integer and its
+# decimal text (_decimal) take quasi-linear time: `bound --s 3 --degrees 4`
+# (A = 35, 1.5e6 bits) answers in 0.16 s, and the 2.1e7 bits of `--degrees 6`
+# (A = 84) would convert in 1.3 s (Python 3.11, 2-core VM).
 BOUND_BIT_BUDGET = 2**21
 
 
@@ -349,49 +354,51 @@ def schlickewei_bound(dims: int, degrees: list[int], field_degree: int) -> int:
     return 2**two_exp * field_degree**field_exp
 
 
+# Widest integer, in bits, that _decimal hands to int.__repr__ (quadratic in
+# time), well under the interpreter's default cap of 4,300 digits.
+_REPR_BITS = 14000
+
+
+def _decimal(n: int) -> str:
+    """Decimal text of n in quasi-linear time, past any digit cap: n is split
+    at half its width w and recombined as hi * 2^w + lo in decimal, whose
+    MAX_PREC arithmetic is exact. Each 2^w is built once per call."""
+    if n.bit_length() <= _REPR_BITS:
+        return int.__repr__(n)
+    powers: dict[int, Decimal] = {}
+
+    def convert(n: int, width: int) -> Decimal:
+        if width <= _REPR_BITS:
+            return Decimal(n)
+        w = width // 2
+        if w not in powers:
+            powers[w] = Decimal(2) ** w
+        return convert(n >> w, width - w) * powers[w] + convert(n & ((1 << w) - 1), w)
+
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        return str(convert(n, n.bit_length()))
+
+
 def digit_count(n: int) -> int:
-    """Exact decimal length of |n| without going through str()."""
-    n = abs(n)
-    # bit_length * log10(2) is within one of the answer: build that one power
-    # of ten and step it by factors of ten, each a linear-time operation
-    d = max(1, int(n.bit_length() * 0.30103))
-    power = 10**d
-    while power <= n:
-        power *= 10
-        d += 1
-    while d > 1 and power // 10 > n:
-        power //= 10
-        d -= 1
-    return d
-
-
-def _int_str(n: int) -> str:
-    # split-and-pad around the interpreter's int-to-str digit cap
-    if n < 0:
-        return "-" + _int_str(-n)
-    if n.bit_length() < 10000:
-        return str(n)
-    k = digit_count(n) // 2
-    hi, lo = divmod(n, 10**k)
-    return _int_str(hi) + _int_str(lo).zfill(k)
+    """Exact decimal length of |n|."""
+    return len(_decimal(abs(n)))
 
 
 # Longest bound, in decimal digits, that describe_bound writes out in full.
 FULL_DIGIT_LIMIT = 10**4
 
 
-def describe_bound(n: int, *, digits: int | None = None) -> str:
-    """Full decimal rendering up to FULL_DIGIT_LIMIT digits, sketch past it.
+def describe_bound(n: int) -> str:
+    """Full decimal rendering up to FULL_DIGIT_LIMIT digits, sketch past it."""
+    return _sketch(_decimal(n))
 
-    digits, when given, must be digit_count(n); a caller that already
-    counted them saves a second count, which dominates for large n.
-    """
-    if digits is None:
-        digits = digit_count(n)
+
+def _sketch(text: str) -> str:
+    digits = len(text)
     if digits <= FULL_DIGIT_LIMIT:
-        return _int_str(n)
-    lead = _int_str(n // 10 ** (digits - 12))
-    return f"{lead[0]}.{lead[1:]}e+{digits - 1} ({digits} digits)"
+        return text
+    return f"{text[0]}.{text[1:12]}e+{digits - 1} ({digits} digits)"
 
 
 # -- subcommand handlers (cli.main dispatches here) ----------------------------
@@ -529,9 +536,8 @@ def _cmd_vanishing(args):
 
 def _cmd_bound(args):
     degrees = _csv_ints(args.degrees)
-    value = schlickewei_bound(args.s, degrees, args.field_degree)
-    digits = digit_count(value)
-    shown = describe_bound(value, digits=digits)
+    text = _decimal(schlickewei_bound(args.s, degrees, args.field_degree))
+    digits, shown = len(text), _sketch(text)
     results = {"digits": digits, "value": shown}
     lines = [
         f"bound for {args.s} variable(s), degrees {degrees}, "

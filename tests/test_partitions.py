@@ -1,4 +1,36 @@
+import inspect
+
+import pytest
+
 from pellsum.partitions import bell_number, set_partitions
+
+
+def growth_string_partitions(n):
+    """The restricted-growth-string enumerator set_partitions replaced."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        yield ()
+        return
+    rgs = [0] * n
+
+    def emit():
+        blocks = []
+        for i, b in enumerate(rgs):
+            if b == len(blocks):
+                blocks.append([])
+            blocks[b].append(i)
+        return tuple(tuple(b) for b in blocks)
+
+    def walk(i, top):
+        if i == n:
+            yield emit()
+            return
+        for b in range(top + 2):
+            rgs[i] = b
+            yield from walk(i + 1, max(top, b))
+
+    yield from walk(1, 0)
 
 
 def test_bell_numbers():
@@ -37,3 +69,16 @@ def test_degenerate_input():
     assert list(set_partitions(0)) == [()]
     assert bell_number(0) == 1
     assert list(set_partitions(1)) == [((0,),)]
+
+
+def test_stream_matches_the_growth_string_enumerator():
+    for n in range(11):
+        assert list(set_partitions(n)) == list(growth_string_partitions(n)), n
+
+
+def test_set_partitions_stays_a_generator_function():
+    # perfbench/trace_child.py counts the items a generator function yields
+    assert inspect.isgeneratorfunction(set_partitions)
+    stream = set_partitions(-1)  # nothing runs until the first next()
+    with pytest.raises(ValueError):
+        next(stream)

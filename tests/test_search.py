@@ -1,4 +1,6 @@
+import hashlib
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
@@ -8,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pellsum import partitions, search
+from pellsum.cli import main
 from pellsum.errors import RepeatedRootError, SearchBudgetError, TooManyIndicesError
 from pellsum.normform import NormFormProblem, coordinate_set
 from pellsum.partitions import partition_analysis, set_partitions
@@ -28,7 +31,7 @@ from pellsum.search import (
     sunit_sum_search,
     vanishing_pair_sums,
 )
-from pellsum.sunits import SPrimeSet, enumerate_sunits, subsums_nonvanishing
+from pellsum.sunits import SPrimeSet, SUnit, enumerate_sunits, subsums_nonvanishing
 
 P134 = NormFormProblem(13, 4)
 
@@ -197,6 +200,23 @@ def test_sunit_search_refuses_past_the_work_budget():
         sunit_sum_search(SPrimeSet((2,)), 2, -1, P134, 10)
 
 
+def test_sunit_search_reads_unit_values_only_for_found_tuples(monkeypatch, capsys):
+    # 29,282 units over {2, 3, 5, 7} at E = 5, and two hits (3 and 360)
+    reads = []
+    value = SUnit.value
+    monkeypatch.setattr(SUnit, "value", property(lambda u: reads.append(u) or value.fget(u)))
+    report = sunit_sum_search(SPrimeSet((2, 3, 5, 7)), 1, 5, P134, 10**6)
+    assert [hit.total for hit in report.hits] == [3, 360]
+    # with t = 1 each tuple a lookup finds is a hit: one entry, one read
+    assert len(reads) <= len(report.hits)
+    argv = ["sunit-search", "--primes=2,3,5,7", "--t=1", "--exp-bound=5",
+            "--d=13", "--m=4", "--bound=1000000", "--format=structured"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == (
+        "049be3b37bf4dcc1ef2065a020a46abfe703cb5fe556d611c06367fb7ad4acd9"
+    )
+
+
 @pytest.mark.parametrize(
     "primes, tuple_size, expbound, count, stabilization",
     [
@@ -301,10 +321,46 @@ def test_describe_bound_small_and_large():
     assert "e+" in text and text.endswith("digits)")
     digits = digit_count(huge)
     assert f"({digits} digits)" in text
-    assert describe_bound(huge, digits=digits) == text
     # the rendering helper must agree with str() below the interpreter cap
     n = 1234567890123456789 ** 100
     assert describe_bound(n) == str(n)
+
+
+def test_decimal_text_agrees_with_str_up_to_300000_bits():
+    rng = random.Random(21)
+    sizes = [1, 64, 13999, 14000, 14001, 28001] + [rng.randint(14001, 300000) for _ in range(8)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for bits in sizes:
+            n = rng.getrandbits(bits) | 1 << (bits - 1)
+            text = str(n)
+            assert digit_count(n) == digit_count(-n) == len(text), bits
+            assert search._decimal(-n) == "-" + text
+            if len(text) <= search.FULL_DIGIT_LIMIT:
+                assert describe_bound(n) == text
+            else:
+                sketch = f"{text[0]}.{text[1:12]}e+{len(text) - 1} ({len(text)} digits)"
+                assert describe_bound(n) == sketch
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_text_passes_the_default_digit_cap():
+    n = 7**50000  # 42,255 digits, past the default cap of 4,300
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(n)
+    finally:
+        sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError):
+            str(n)
+        assert search._decimal(n) == expected
+        assert digit_count(n) == 42255
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_partition_analysis_dependent_pair():
