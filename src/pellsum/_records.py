@@ -9,11 +9,11 @@ time that every CLI job paid.
 from operator import attrgetter
 
 
-def frozen_setattr(self, name, value):
+def _frozen_setattr(self, name, value):
     raise AttributeError(f"cannot assign to field {name!r}")
 
 
-def frozen_delattr(self, name):
+def _frozen_delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
@@ -77,7 +77,7 @@ def record(cls):
     cls.__repr__ = __repr__
     cls.__eq__ = __eq__
     cls.__hash__ = __hash__
-    cls.__setattr__ = frozen_setattr
-    cls.__delattr__ = frozen_delattr
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
     cls.__match_args__ = names
     return cls

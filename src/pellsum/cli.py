@@ -53,12 +53,13 @@ import os
 import re
 import sys
 from importlib import import_module
+from math import isqrt
 from types import GeneratorType
 
 from . import __version__
 from .errors import InvariantViolationError, PellsumError
 from .normform import NormFormProblem, coordinate_set, solution_classes
-from .pell import continued_fraction_sqrt, pell_data
+from .pell import pell_data
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,7 +76,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _cmd_pell(args):
     data = pell_data(args.d)
-    a0, digits = continued_fraction_sqrt(args.d)
+    a0, digits = isqrt(args.d), list(data.period)
     results = {
         "d": args.d,
         "a0": a0,

@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from math import isqrt
 
 from ._records import record
 from .errors import UnknownRemarkError
 from .normform import NormFormProblem, coordinate_set
-from .pell import continued_fraction_sqrt, pell_data
+from .pell import pell_data
 from .quadfield import QuadNum
 from .recurrences import (
     LinearRecurrence,
@@ -77,7 +78,7 @@ def _pell_check(name: str, d: int, stated: dict) -> CheckResult:
     values = {"fundamental": list(data.fundamental), "negative": list(data.negative),
               "automorph": list(data.automorph)}
     if stated.keys() & {"a0", "period"}:
-        values["a0"], values["period"] = continued_fraction_sqrt(d)
+        values["a0"], values["period"] = isqrt(d), list(data.period)
     computed = {key: values[key] for key in stated}
     return _check(name, computed == stated, stated, computed)
 
@@ -103,9 +104,8 @@ def _pair_count_check(data: dict, rec: LinearRecurrence,
     return _check("pair hit count", True, "unrecorded bound", count)
 
 
-def _verify_2_3(data: dict, bound: int) -> list[CheckResult]:
-    problem = NormFormProblem(**data["problem"])
-    rec = LinearRecurrence.from_literal(data["recurrence"])
+def _verify_2_3(data: dict, problem: NormFormProblem, rec: LinearRecurrence,
+               bound: int) -> list[CheckResult]:
     checks = []
 
     x1 = coordinate_set(problem, 1, data["x1"]["bound"])
@@ -128,9 +128,8 @@ def _verify_2_3(data: dict, bound: int) -> list[CheckResult]:
     return checks
 
 
-def _verify_2_4(data: dict, bound: int) -> list[CheckResult]:
-    problem = NormFormProblem(**data["problem"])
-    rec = LinearRecurrence.from_literal(data["recurrence"])
+def _verify_2_4(data: dict, problem: NormFormProblem, rec: LinearRecurrence,
+               bound: int) -> list[CheckResult]:
     checks = []
 
     pattern = data["period"]
@@ -173,9 +172,8 @@ def _verify_2_4(data: dict, bound: int) -> list[CheckResult]:
     return checks
 
 
-def _verify_2_5(data: dict, bound: int) -> list[CheckResult]:
-    problem = NormFormProblem(**data["problem"])
-    rec = LinearRecurrence.from_literal(data["recurrence"])
+def _verify_2_5(data: dict, problem: NormFormProblem, rec: LinearRecurrence,
+               bound: int) -> list[CheckResult]:
     checks = []
 
     first = data["first_terms"]
@@ -249,7 +247,9 @@ def verify_remark(remark_id: str, bound: int) -> FixtureReport:
     if bound < 10:
         raise ValueError(f"bound must be at least 10, got {bound}")
     _, verifier = _FIXTURES[remark_id]
-    checks = verifier(data, bound)
+    problem = NormFormProblem(**data["problem"])
+    rec = LinearRecurrence.from_literal(data["recurrence"])
+    checks = verifier(data, problem, rec, bound)
     return FixtureReport(
         remark_id=remark_id,
         bound=bound,

@@ -68,14 +68,19 @@ class PellData:
     fundamental: minimal solution of x^2 - d y^2 = 1 with y >= 1
     negative:    minimal solution of x^2 - d y^2 = -1, None when unsolvable
     automorph:   minimal (t, u) with u >= 1 and t^2 - d u^2 = 4
-    cf_period:   continued-fraction period length of sqrt(d)
+    period:      continued-fraction period of sqrt(d)
     """
 
     d: int
     fundamental: tuple[int, int]
     negative: tuple[int, int] | None
     automorph: tuple[int, int]
-    cf_period: int
+    period: tuple[int, ...]
+
+    @property
+    def cf_period(self) -> int:
+        """Length of the continued-fraction period."""
+        return len(self.period)
 
     def unit(self) -> QuadNum:
         """(t + u*sqrt(d))/2 for the automorph; norm 1."""
@@ -130,4 +135,4 @@ def pell_data(d: int) -> PellData:
         raise InvariantViolationError(f"pell identities failed for d={d}")
     if neg is not None and neg[0] ** 2 - d * neg[1] ** 2 != -1:
         raise InvariantViolationError(f"negative pell identity failed for d={d}")
-    return PellData(d, fund, neg, (t, u), length)
+    return PellData(d, fund, neg, (t, u), tuple(period))

@@ -2,7 +2,9 @@
 
 Elements are x + y*sqrt(d) with rational x, y and squarefree integer d.
 Negative d is allowed (imaginary quadratic); the Pell machinery elsewhere
-restricts itself to d > 1. Each field's d is checked once per process.
+restricts itself to d > 1. QuadNum is a frozen record like the package's
+other value classes; its constructor coerces x and y to Fraction and checks
+each field's d once per process.
 Every factoring in the package (squarefree tests and parts, divisors) is
 _factor's trial division, which refuses past FACTOR_TRIAL_LIMIT.
 """
@@ -13,10 +15,8 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain
 
-from ._records import frozen_delattr, frozen_setattr
+from ._records import record
 from .errors import MixedFieldError, NotSquarefreeError, SearchBudgetError
-
-Rational = int | Fraction
 
 # Largest trial divisor _factor tries: under 1 s of division, then a refusal.
 FACTOR_TRIAL_LIMIT = 10**7
@@ -76,46 +76,23 @@ def _validate_d(d: int) -> None:
     _ACCEPTED_D.add(d)
 
 
+@record
 class QuadNum:
     """x + y*sqrt(d), exact. Immutable; hashable; equality is componentwise.
 
     Note componentwise equality treats QuadNum(5, 0, 2) and QuadNum(5, 0, 3)
     as distinct even though both denote 5; use value_equal for cross-field
     comparison of values.
-
-    The record methods are written out rather than generated: QuadNum is
-    built, hashed and compared in the arithmetic loops.
     """
 
-    __slots__ = __match_args__ = ("x", "y", "d")
-    __setattr__ = frozen_setattr
-    __delattr__ = frozen_delattr
-
-    def __init__(self, x: Fraction, y: Fraction, d: int) -> None:
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "d", d)
-        self.__post_init__()
+    x: Fraction
+    y: Fraction
+    d: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", Fraction(self.x))
         object.__setattr__(self, "y", Fraction(self.y))
         _validate_d(self.d)
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(x={self.x!r}, y={self.y!r}, d={self.d!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.x, self.y, self.d) == (other.x, other.y, other.d)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y, self.d))
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__; slots reject setattr
-        return self.__class__, (self.x, self.y, self.d)
 
     # -- helpers ---------------------------------------------------------
 
@@ -221,9 +198,7 @@ class QuadNum:
         return f"{self.x} {op} {tail}"
 
 
-def quad(x: Rational, y: Rational, d: int) -> QuadNum:
-    """Shorthand constructor."""
-    return QuadNum(Fraction(x), Fraction(y), d)
+quad = QuadNum  # shorthand
 
 
 def value_equal(a, b) -> bool:

@@ -400,6 +400,8 @@ class RecurrenceHypotheses:
 
 def audit_hypotheses(rec: LinearRecurrence, expbound: int = 10) -> RecurrenceHypotheses:
     """Check all four hypotheses with exact root data (order <= 4)."""
+    if expbound < 1:  # checked here too: an order-1 recurrence has no root pair
+        raise ValueError("exponent bound must be >= 1")
     roots = characteristic_roots(rec)
     pairs = tuple(
         (i + 1, j + 1, roots_multiplicatively_independent(a, b, expbound))

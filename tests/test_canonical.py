@@ -11,7 +11,9 @@ every subcommand's document must come back unchanged through json.loads.
 import hashlib
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from io import StringIO
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from pellsum import cli
 from test_catalog_replay import pinned_jobs
 from test_lazy_imports import EVERY_COMMAND
+from test_normform import WINDOWED
 
 DENSE = ["vanishing", "--rec=1,-1;0,1", "--n=133", "--format=structured"]
 
@@ -183,3 +186,92 @@ def test_every_subcommands_document_round_trips_through_json(argv, capsys, no_di
     assert cli.main([*argv, "--format=structured"]) == 0
     printed = capsys.readouterr().out
     assert printed == oracle(json.loads(printed))
+
+
+# -- every subcommand that takes an exponent bound or an index range, over
+# drawn arguments: N <= 60, coordinate bounds <= 1e6, and (d, m) whose seed
+# window stays within 1e5
+
+_small = st.integers(-4, 4)
+_ints = _small.map(str)
+
+
+@st.composite
+def _rec(draw, orders=(2, 3, 4, 1)):
+    order = draw(st.sampled_from(orders))
+    coeffs = draw(st.lists(_ints, min_size=order - 1, max_size=order - 1))
+    coeffs.append(str(draw(_small.filter(bool))))
+    initials = draw(st.lists(_ints, min_size=order, max_size=order))
+    return f"--rec={','.join(coeffs)};{','.join(initials)}"
+
+
+@st.composite
+def _norm_problem(draw):
+    d, most = draw(st.sampled_from(WINDOWED))
+    m = draw(st.integers(1, most)) * draw(st.sampled_from((1, -1)))
+    return [f"--d={d}", f"--m={m}"]
+
+
+_numerator = st.sampled_from((3, 2, -1, 1, -2, 5, 0)).map(str)  # 0 makes a zero base
+_rational = st.one_of(_numerator, st.builds("{}/{}".format, _numerator, st.integers(1, 3)))
+_base = st.one_of(
+    _rational,
+    st.builds("{}{}{}*sqrt({})".format, _rational, st.sampled_from("+-"),
+              st.integers(1, 3), st.sampled_from((2, 3, -1, 5, -3, 6, 4))),
+)
+# mostly valid values, the invalid ones last: hypothesis draws the first
+# element of a sampled_from and the least integer of a range most often
+_exp_bound = st.sampled_from((3, 1, 2, 5, 8, 12, 0, -2)).map("--exp-bound={}".format)
+_bound = st.one_of(st.integers(10**5, 10**6), st.integers(1, 10**6)).map("--bound={}".format)
+_n = st.one_of(st.integers(30, 60), st.integers(0, 60)).map("--n={}".format)
+
+_jobs = st.one_of(
+    st.tuples(st.just("hypotheses"), _rec(), _exp_bound),
+    st.tuples(st.just("partitions"),
+              st.lists(_base, min_size=2, max_size=4).map(",".join).map("--bases={}".format),
+              _exp_bound),
+    st.tuples(st.just("pairs-search"), _rec(), _norm_problem(), _n, _bound),
+    st.tuples(st.just("sunit-search"),
+              st.lists(st.sampled_from((2, 3, 5, 7)), min_size=1, max_size=3, unique=True)
+              .map(lambda ps: "--primes=" + ",".join(map(str, sorted(ps)))),
+              st.integers(1, 2).map("--t={}".format),
+              st.sampled_from((2, 1, 3, 0, -1)).map("--exp-bound={}".format),
+              _norm_problem(), _bound),
+    st.tuples(st.just("vanishing"), _rec(orders=(2, 2, 2, 1, 3)), _n),
+).map(lambda job: [piece for part in job
+                   for piece in (part if isinstance(part, list) else [part])])
+
+
+def _exp_bounds(value):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key == "exp_bound":
+                yield item
+            yield from _exp_bounds(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _exp_bounds(item)
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(_jobs)
+def test_drawn_jobs_answer_canonically_or_refuse_in_one_line(argv):
+    out, err = StringIO(), StringIO()
+    limit = sys.get_int_max_str_digits()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main([*argv, "--format=structured"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1), (argv, err)
+    if code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        return
+    assert err == ""
+    doc = json.loads(out)
+    assert out == oracle(doc)
+    # a dependence search needs exponents up to at least 1; an S-unit box
+    # of exponent bound 0 holds the units +-1
+    least = 0 if argv[0] == "sunit-search" else 1
+    assert all(bound >= least for bound in _exp_bounds(doc)), argv

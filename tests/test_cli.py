@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from pellsum import pell
 from pellsum.cli import main
 from pellsum.partitions import parse_base
 from pellsum.quadfield import quad, value_equal
@@ -179,6 +180,21 @@ def test_sunit_search_subcommand(capsys):
     assert ("3", "8") in entries
 
 
+@pytest.mark.parametrize("argv", [["pell", "--d=13"],
+                                  ["verify-remark", "--id=2.3", "--n=50"]])
+def test_a_job_expands_its_continued_fraction_once(argv, capsys, monkeypatch):
+    calls = []
+    expand = pell.continued_fraction_sqrt
+    for name, module in list(sys.modules.items()):  # every module that binds it
+        if name.startswith("pellsum") and getattr(module, "continued_fraction_sqrt", None):
+            monkeypatch.setattr(module, "continued_fraction_sqrt",
+                                lambda d: calls.append(d) or expand(d))
+    pell.pell_data.cache_clear()
+    code, out, err = run_main(argv, capsys)
+    assert code == 0, err
+    assert calls == [13]  # inside pell_data; the period comes from its record
+
+
 def test_malformed_arguments_exit_1(capsys):
     # argparse-level problems leave through SystemExit with code 1, not 2
     for argv in (
@@ -213,11 +229,17 @@ def test_domain_errors_exit_1_without_raising(capsys, tmp_path):
         ["partitions", "--bases", "2", "--exp-bound", "3"],
         ["partitions", "--bases", "1/0,2", "--exp-bound", "2"],  # zero denominator
         ["binet", "--rec", "2,-1;0,2"],  # repeated root
+        # an order-1 recurrence has no root pair, so no verdict checks the bound
+        ["hypotheses", "--rec", "1;1", "--exp-bound", "-5"],
+        ["hypotheses", "--rec", "2,3;1,1", "--exp-bound", "0"],
     ):
         code, out, err = run_main(argv, capsys)
         assert code == 1 and err, argv
     code, out, err = run_main(["pell", "--d", "12"], capsys)
     assert code == 1 and "squarefree" in err
+    for rec in ("1;1", "2,3;1,1"):
+        code, out, err = run_main(["hypotheses", "--rec", rec, "--exp-bound", "0"], capsys)
+        assert (code, out, err) == (1, "", "error: exponent bound must be >= 1\n")
     for fmt in ("text", "structured"):  # the report's directory does not exist
         code, out, err = run_main(["pell", "--d", "13", "--format", fmt, "--out", unwritable],
                                   capsys)

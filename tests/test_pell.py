@@ -69,9 +69,9 @@ def test_cf_last_digit_is_twice_the_first():
 
 
 def test_pell_data_pinned():
-    assert pell_data(2) == PellData(2, (3, 2), (1, 1), (6, 4), 1)
-    assert pell_data(5) == PellData(5, (9, 4), (2, 1), (3, 1), 1)
-    assert pell_data(13) == PellData(13, (649, 180), (18, 5), (11, 3), 5)
+    assert pell_data(2) == PellData(2, (3, 2), (1, 1), (6, 4), (2,))
+    assert pell_data(5) == PellData(5, (9, 4), (2, 1), (3, 1), (4,))
+    assert pell_data(13) == PellData(13, (649, 180), (18, 5), (11, 3), (1, 1, 1, 1, 6))
     d61 = pell_data(61)
     assert d61.fundamental == (1766319049, 226153980)
     assert d61.negative == (29718, 3805)

@@ -44,7 +44,7 @@ def test_repr_is_the_dataclass_form():
     )
     assert repr(pell_data(13)) == (
         "PellData(d=13, fundamental=(649, 180), negative=(18, 5),"
-        " automorph=(11, 3), cf_period=5)"
+        " automorph=(11, 3), period=(1, 1, 1, 1, 6))"
     )
     assert repr(NormFormProblem(13, 4)) == "NormFormProblem(d=13, m=4)"
     assert repr(PairHit(1, 2, 3, ((1, (3, 1)),))) == (
@@ -77,7 +77,7 @@ def test_fields_cannot_be_assigned_or_deleted():
                 delattr(rec, name)
     assert QuadNum.__match_args__ == ("x", "y", "d")
     assert PellData.__match_args__ == (
-        "d", "fundamental", "negative", "automorph", "cf_period"
+        "d", "fundamental", "negative", "automorph", "period"
     )
 
 
