@@ -4,6 +4,10 @@ Multiplication by a power of the automorph unit partitions the solutions
 into finitely many classes. Everything here works with |x|, |y| pairs:
 conjugate and negated solutions share coordinates, and the coordinate sets
 of interest collect absolute values only.
+
+Seeds come from a scan of y = 0 ... ylim, ylim growing with the fundamental
+unit: a window past SEED_SCAN_BUDGET is refused before the scan, and the
+scan tries only the y whose m + d*y^2 is a square mod 16, 9, 5 and 7.
 """
 
 from __future__ import annotations
@@ -11,8 +15,13 @@ from __future__ import annotations
 from math import isqrt
 
 from ._records import record
-from .errors import InvariantViolationError
+from .errors import InvariantViolationError, SearchBudgetError
 from .pell import _validate_real_d, pell_data
+
+# Widest seed window, in y values, that solution_classes scans. Catalogue
+# jobs answer with windows up to 1,733,133; the next widest is 1.78e8.
+SEED_SCAN_BUDGET = 10**7
+_WHEEL = (16, 9, 5, 7)  # coprime moduli; the wheel turns every 5040 y
 
 
 @record
@@ -113,15 +122,45 @@ class NormFormSolutions:
     scan_bound: int
 
 
+def _seeds(d: int, m: int, ylim: int) -> list[tuple[int, int]]:
+    """Every (x, y) with x, y >= 0, y <= ylim and x^2 - d*y^2 = m, by y.
+
+    Only the y whose residue r mod 5040 makes m + d*r^2 a square mod every
+    q in _WHEEL are tried, in ascending order; the residues are lifted by
+    CRT one q at a time. A perfect square passes every q, so no seed is lost.
+    """
+    residues, turn = [0], 1
+    for q in _WHEEL:
+        squares = {r * r % q for r in range(q)}
+        residues = [r for a in residues for r in range(a, turn * q, turn)
+                    if (m + d * r * r) % q in squares]
+        turn *= q
+    residues.sort()
+    seeds = []
+    for base in range(0, ylim + 1, turn):
+        for y in residues:
+            y += base
+            if y > ylim:
+                break
+            s = m + d * y * y
+            if s < 0:
+                continue
+            x = isqrt(s)
+            if x * x == s:
+                seeds.append((x, y))
+    return seeds
+
+
 def solution_classes(problem: NormFormProblem) -> NormFormSolutions:
     """Decompose the solutions of x^2 - d y^2 = m into automorph classes.
 
     Seeds come from a direct scan of y values; the window is wide enough
     that stepping any solution down with the even generator lands in it
     before the coordinates can turn negative, so every class is seeded.
-    Seeds are then grouped by their class's least member (Nagell's
-    fundamental solution, folded to absolute values), which each seed
-    reaches by stepping down.
+    A window of more than SEED_SCAN_BUDGET y values raises SearchBudgetError
+    before _seeds scans it. Seeds are then grouped by their class's least
+    member (Nagell's fundamental solution, folded to absolute values), which
+    each seed reaches by stepping down.
     """
     d, m = problem.d, problem.m
     data = pell_data(d)
@@ -134,15 +173,13 @@ def solution_classes(problem: NormFormProblem) -> NormFormSolutions:
     sm = isqrt(abs(m)) + 1
     sd = isqrt(d)
     ylim = sm * (bt + 2 + (bu + 1) * (sd + 1)) // (2 * sd) + 2
+    if ylim + 1 > SEED_SCAN_BUDGET:
+        raise SearchBudgetError(
+            f"seed scan of x^2 - {d}*y^2 = {m} needs a window of {ylim + 1}"
+            f" y values; the budget is {SEED_SCAN_BUDGET}"
+        )
 
-    seeds: list[tuple[int, int]] = []
-    for y in range(ylim + 1):
-        s = m + d * y * y
-        if s < 0:
-            continue
-        x = isqrt(s)
-        if x * x == s:
-            seeds.append((x, y))
+    seeds = _seeds(d, m, ylim)
 
     def gen_for(x: int, y: int) -> tuple[int, int]:
         if not odd or (x - y) % 2 == 0:

@@ -1,11 +1,13 @@
 """Oracles for the Pell layer: the solver's solutions in a box, for
-comparison with direct scans, and the union-find merge rule that grouped
-seeds into classes before the least-member grouping replaced it.
+comparison with direct scans; the plain seed scan that the residue wheel
+replaced; and the union-find merge rule that grouped seeds into classes
+before the least-member grouping replaced it.
 
-Run as a script, `python3 tests/norm_oracle.py` compares the solver's
-classes with the union-find grouping of the same seeds for every
-squarefree d < 1000 and 0 < |m| <= 100 whose window is at most 3e5, prints
-the problem count and the mismatch count, and exits 1 on any mismatch.
+Run as a script, `python3 tests/norm_oracle.py` compares, for every
+squarefree d < 1000 and 0 < |m| <= 100 whose window is at most 3e5, the
+solver's classes with the union-find grouping of the same seeds and the
+solver's seeds with the plain scan of its window. It prints the problem
+count and both mismatch counts, and exits 1 on any mismatch.
 """
 
 import sys
@@ -47,6 +49,32 @@ def fundamental_x(d: int) -> int:
     return p if len(period) % 2 == 0 else 2 * p * p + 1
 
 
+def scan_seeds(d: int, m: int, ylim: int) -> list[tuple[int, int]]:
+    """Every (x, y) with x, y >= 0, y <= ylim and x^2 - d*y^2 = m, in
+    ascending y: the scan of every y in the window."""
+    seeds: list[tuple[int, int]] = []
+    for y in range(ylim + 1):
+        s = m + d * y * y
+        if s < 0:
+            continue
+        x = isqrt(s)
+        if x * x == s:
+            seeds.append((x, y))
+    return seeds
+
+
+def solver_seeds(orbits) -> list[tuple[int, int]]:
+    """The seeds of all orbits, sorted by (y, x)."""
+    return sorted((s for orbit in orbits for s in orbit.seeds), key=lambda p: (p[1], p[0]))
+
+
+def seeds_match(problem: NormFormProblem, solutions=None) -> bool:
+    """Does the solver find the seeds the plain scan of its window finds?"""
+    solutions = solutions or solution_classes(problem)
+    return solver_seeds(solutions.orbits) == scan_seeds(problem.d, problem.m,
+                                                         solutions.scan_bound)
+
+
 def union_find_classes(problem: NormFormProblem, seeds) -> list[tuple[tuple[int, int], ...]]:
     """The seeds grouped by merging each with its folded step and inverse
     step images that are seeds too; each group sorted by (y, x), the groups
@@ -86,16 +114,16 @@ def union_find_classes(problem: NormFormProblem, seeds) -> list[tuple[tuple[int,
     return sorted(tuple(sorted(members, key=lambda p: (p[1], p[0]))) for members in groups.values())
 
 
-def classes_match(problem: NormFormProblem) -> bool:
+def classes_match(problem: NormFormProblem, solutions=None) -> bool:
     """Do the solver's classes group its seeds as the union-find does?"""
-    orbits = solution_classes(problem).orbits
-    seeds = sorted((s for orbit in orbits for s in orbit.seeds), key=lambda p: (p[1], p[0]))
-    return sorted(orbit.seeds for orbit in orbits) == union_find_classes(problem, seeds)
+    orbits = (solutions or solution_classes(problem)).orbits
+    return sorted(orbit.seeds for orbit in orbits) == union_find_classes(
+        problem, solver_seeds(orbits))
 
 
 def sweep(limit: int = SWEEP_WINDOW) -> int:
-    """Compare every squarefree d < 1000, 0 < |m| <= 100 with window <= limit;
-    1 when any mismatches."""
+    """Compare classes and seeds for every squarefree d < 1000, 0 < |m| <= 100
+    with window <= limit; 1 when any mismatches."""
     problems = []
     for d in filter(is_squarefree, range(2, 1000)):
         x1 = fundamental_x(d)
@@ -105,11 +133,16 @@ def sweep(limit: int = SWEEP_WINDOW) -> int:
             for m in range(-100, 101)
             if m and (isqrt(abs(m)) + 1) * 2 * x1 <= limit
         ]
-    mismatches = [p for p in problems if not classes_match(p)]
-    for p in mismatches:
-        print(f"mismatch: d={p.d} m={p.m}")
-    print(f"{len(problems)} problems, {len(mismatches)} mismatches")
-    return 1 if mismatches else 0
+    mismatches = {"class": 0, "seed": 0}
+    for p in problems:
+        solutions = solution_classes(p)
+        for kind, match in (("class", classes_match), ("seed", seeds_match)):
+            if not match(p, solutions):
+                mismatches[kind] += 1
+                print(f"{kind} mismatch: d={p.d} m={p.m}")
+    print(f"{len(problems)} problems, {mismatches['class']} class mismatches,"
+          f" {mismatches['seed']} seed mismatches")
+    return 1 if any(mismatches.values()) else 0
 
 
 if __name__ == "__main__":

@@ -19,7 +19,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from norm_oracle import fundamental_x
 from pellsum import cli
+from pellsum.quadfield import is_squarefree
 from test_catalog_replay import pinned_jobs
 from test_lazy_imports import EVERY_COMMAND
 from test_normform import WINDOWED
@@ -205,6 +207,11 @@ def _rec(draw, orders=(2, 3, 4, 1)):
     return f"--rec={','.join(coeffs)};{','.join(initials)}"
 
 
+def _argv(job):
+    """The job's parts in order, with each list part spliced in."""
+    return [piece for part in job for piece in (part if isinstance(part, list) else [part])]
+
+
 @st.composite
 def _norm_problem(draw):
     d, most = draw(st.sampled_from(WINDOWED))
@@ -238,8 +245,7 @@ _jobs = st.one_of(
               st.sampled_from((2, 1, 3, 0, -1)).map("--exp-bound={}".format),
               _norm_problem(), _bound),
     st.tuples(st.just("vanishing"), _rec(orders=(2, 2, 2, 1, 3)), _n),
-).map(lambda job: [piece for part in job
-                   for piece in (part if isinstance(part, list) else [part])])
+).map(_argv)
 
 
 def _exp_bounds(value):
@@ -253,9 +259,9 @@ def _exp_bounds(value):
             yield from _exp_bounds(item)
 
 
-@settings(derandomize=True, deadline=None, max_examples=1000)
-@given(_jobs)
-def test_drawn_jobs_answer_canonically_or_refuse_in_one_line(argv):
+def _answer_or_refusal(argv):
+    """The document of an exit-0 run with canonical bytes, or None for an
+    exit-1 run that printed one error line and nothing else."""
     out, err = StringIO(), StringIO()
     limit = sys.get_int_max_str_digits()
     try:
@@ -267,11 +273,53 @@ def test_drawn_jobs_answer_canonically_or_refuse_in_one_line(argv):
     assert code in (0, 1), (argv, err)
     if code == 1:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-        return
+        return None
     assert err == ""
     doc = json.loads(out)
     assert out == oracle(doc)
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(_jobs)
+def test_drawn_jobs_answer_canonically_or_refuse_in_one_line(argv):
+    doc = _answer_or_refusal(argv)
+    if doc is None:
+        return
     # a dependence search needs exponents up to at least 1; an S-unit box
     # of exponent bound 0 holds the units +-1
     least = 0 if argv[0] == "sunit-search" else 1
     assert all(bound >= least for bound in _exp_bounds(doc)), argv
+
+
+# -- solve-norm and coords over any squarefree d < 1000 and 0 < |m| <= 10^4,
+# whatever the seed window: each answers, or refuses at the seed-scan budget.
+# pell_data's odd-u automorph scan runs 2e5 to 6.2e10 steps for these d, so
+# they are not drawn.
+_SLOW_AUTOMORPH = {277, 397, 421, 541, 613, 661, 821, 853, 949}
+_ANY_D = [d for d in range(2, 1000) if is_squarefree(d) and d not in _SLOW_AUTOMORPH]
+# d whose window, sized as (isqrt(|m|) + 1) * 2 * x1, stays within 10^6 for
+# every |m| <= 10^4: drawn half the time, so that most jobs answer
+_SMALL_UNIT_D = [d for d in _ANY_D if 101 * 2 * fundamental_x(d) <= 10**6]
+
+
+@st.composite
+def _any_window(draw):
+    d = draw(st.sampled_from(_SMALL_UNIT_D) | st.sampled_from(_ANY_D))
+    m = draw(st.integers(1, 10**4)) * draw(st.sampled_from((1, -1)))
+    return [f"--d={d}", f"--m={m}"]
+
+
+_norm_jobs = st.one_of(
+    st.tuples(st.just("solve-norm"), _any_window()),
+    st.tuples(st.just("coords"), _any_window(),
+              st.sampled_from((1, 2)).map("--coord={}".format),
+              st.integers(1, 10**40).map("--bound={}".format),
+              st.sampled_from(([], ["--include-trivial"]))),
+).map(_argv)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_norm_jobs)
+def test_drawn_norm_jobs_answer_canonically_or_refuse_in_one_line(argv):
+    _answer_or_refusal(argv)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pellsum import pell
+from pellsum import normform, pell
 from pellsum.cli import main
 from pellsum.partitions import parse_base
 from pellsum.quadfield import quad, value_equal
@@ -127,6 +127,75 @@ def test_solve_norm(capsys):
     doc = json.loads(out)
     assert doc["results"]["orbit_count"] == 1
     assert doc["results"]["orbits"][0]["representative"] == [11, 3]
+
+
+# (argv, window): the two named norm-sweep jobs and the 24 solve-norm and
+# coords draws of its hang pool, whose seed windows run past the budget
+_PAST_SEED_BUDGET = [
+    (["solve-norm", "--d=61", "--m=4"], 1532378957),
+    (["solve-norm", "--d=109", "--m=4"], 97384602297709),
+    (["coords", "--d=974", "--m=-51", "--coord=2", f"--bound={10**16}"], 255494538105603),
+    (["solve-norm", "--d=281", "--m=45"], 1993415118286),
+    (["coords", "--d=491", "--m=-55", "--coord=1", f"--bound={10**31}"], 69386057199),
+    (["coords", "--d=655", "--m=-8", "--coord=2", f"--bound={10**28}"], 178458123),
+    (["coords", "--d=977", "--m=23", "--coord=1", f"--bound={10**36}"],
+     35524633634336389007),
+    (["solve-norm", "--d=554", "--m=-24"], 26675392096),
+    (["coords", "--d=397", "--m=12", "--coord=1", f"--bound={10**26}"],
+     353811911974726075341),
+    (["coords", "--d=947", "--m=11", "--coord=1", f"--bound={10**36}"], 3615837933),
+    (["solve-norm", "--d=763", "--m=82"], 536772764),
+    (["coords", "--d=617", "--m=-21", "--coord=1", f"--bound={10**26}"], 1406025648595321),
+    (["solve-norm", "--d=481", "--m=-100"], 1950694143084),
+    (["solve-norm", "--d=641", "--m=-3"], 423132153373680719585),
+    (["solve-norm", "--d=869", "--m=33"], 25127524740989),
+    (["solve-norm", "--d=511", "--m=-88"], 3841013822),
+    (["coords", "--d=953", "--m=-63", "--coord=2", f"--bound={10**32}"], 8065138768015052735),
+    (["solve-norm", "--d=673", "--m=86"], 3816649338710667582882755548),
+    (["solve-norm", "--d=789", "--m=43"], 8188988794746),
+    (["solve-norm", "--d=857", "--m=-45"], 64426842580722),
+    (["coords", "--d=454", "--m=60", "--coord=2", f"--bound={10**14}"], 13097920095642116),
+    (["solve-norm", "--d=955", "--m=20"], 699514030),
+    (["solve-norm", "--d=814", "--m=-67"], 2726738729184),
+    (["solve-norm", "--d=809", "--m=99"], 271529807517653410347066),
+    (["coords", "--d=181", "--m=-98", "--coord=1", f"--bound={10**29}"], 3876605850302040748),
+    (["coords", "--d=758", "--m=89", "--coord=2", "--bound=1000000"], 309244137),
+    # the searches reach the same check through coordinate_index
+    (["pairs-search", "--rec=1,1;0,1", "--d=61", "--m=4", "--n=10", "--bound=100"],
+     1532378957),
+    (["sunit-search", "--primes=2,3", "--t=2", "--exp-bound=2", "--d=61", "--m=4",
+      "--bound=100"], 1532378957),
+]
+
+
+def _d_and_m(argv):
+    return [int(arg[4:]) for arg in argv if arg[:4] in ("--d=", "--m=")]
+
+
+@pytest.mark.parametrize("argv, window", _PAST_SEED_BUDGET, ids=[
+    "{} d={} m={}".format(argv[0], *_d_and_m(argv)) for argv, _ in _PAST_SEED_BUDGET])
+def test_seed_windows_past_the_budget_refuse_within_a_second(argv, window, capsys):
+    pell.pell_data.cache_clear()
+    start = time.perf_counter()
+    code, out, err = run_main([*argv, "--format=structured"], capsys)
+    assert time.perf_counter() - start < 1
+    d, m = _d_and_m(argv)
+    assert (code, out) == (1, "")
+    assert err == (f"error: seed scan of x^2 - {d}*y^2 = {m} needs a window of {window}"
+                   f" y values; the budget is {normform.SEED_SCAN_BUDGET}\n")
+
+
+def test_seed_scan_budget_is_measured_on_the_window(capsys, monkeypatch):
+    argv = ["solve-norm", "--d=13", "--m=4", "--format=structured"]
+    code, out, err = run_main(argv, capsys)
+    assert (code, err) == (0, "")
+    window = json.loads(out)["results"]["scan_bound"] + 1
+    monkeypatch.setattr(normform, "SEED_SCAN_BUDGET", window)
+    assert run_main(argv, capsys) == (0, out, "")
+    monkeypatch.setattr(normform, "SEED_SCAN_BUDGET", window - 1)
+    assert run_main(argv, capsys) == (
+        1, "", f"error: seed scan of x^2 - 13*y^2 = 4 needs a window of {window}"
+               f" y values; the budget is {window - 1}\n")
 
 
 def test_vanishing(capsys):

@@ -3,9 +3,10 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from pellsum import normform
 from pellsum.errors import InvariantViolationError, NotSquarefreeError
 from pellsum.normform import (
     NormFormProblem,
@@ -19,7 +20,7 @@ from pellsum.quadfield import QuadNum, is_squarefree, quad
 from pellsum.recurrences import LinearRecurrence, binet
 
 import norm_oracle
-from norm_oracle import classes_match, fundamental_x, solutions_within
+from norm_oracle import classes_match, fundamental_x, scan_seeds, seeds_match, solutions_within
 
 
 def brute_solutions(d, m, xmax):
@@ -229,13 +230,62 @@ def test_classes_group_seeds_as_the_union_find_did(problem):
 def test_class_sweep_counts_problems_and_fails_on_a_mismatch(monkeypatch, capsys):
     # windows <= 12 leave d = 2 (x1 = 3) with |m| <= 3, d = 3 (x1 = 2) with |m| <= 8
     assert norm_oracle.sweep(12) == 0
-    assert capsys.readouterr().out == "22 problems, 0 mismatches\n"
+    assert capsys.readouterr().out == "22 problems, 0 class mismatches, 0 seed mismatches\n"
     monkeypatch.setattr(norm_oracle, "union_find_classes", lambda problem, seeds: [])
     assert norm_oracle.sweep(12) == 1
     # the 10 problems with a solution each print a mismatch line
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "mismatch: d=2 m=-2" and len(out) == 11
-    assert out[-1] == "22 problems, 10 mismatches"
+    assert out[0] == "class mismatch: d=2 m=-2" and len(out) == 11
+    assert out[-1] == "22 problems, 10 class mismatches, 0 seed mismatches"
+    monkeypatch.undo()
+    monkeypatch.setattr(norm_oracle, "scan_seeds", lambda d, m, ylim: [])
+    assert norm_oracle.sweep(12) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "seed mismatch: d=2 m=-2" and len(out) == 11
+    assert out[-1] == "22 problems, 0 class mismatches, 10 seed mismatches"
+
+
+# (d, largest |m|) for each squarefree d < 1000 whose seed window, sized as
+# (isqrt(|m|) + 1) * 2 * x1 <= 13,000, holds some 0 < |m| <= 10^4; the
+# window solution_classes takes is at most 1.5 times that size (d = 2, 3)
+WHEEL_DRAWS = [
+    (d, min(10**4, (13000 // (2 * x1)) ** 2 - 1))
+    for d, x1 in ((d, fundamental_x(d)) for d in SMALL_UNIT_D)
+    if 13000 // (2 * x1) >= 2
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from(WHEEL_DRAWS).flatmap(
+    lambda draw: st.tuples(st.just(draw[0]),
+                           st.integers(1, draw[1]) | st.integers(-draw[1], -1))))
+@example((2, 10**4))
+@example((2, -(10**4)))
+@example((3, 9999))
+@example((5, -9996))
+@example((7, 9993))
+def test_wheel_finds_the_seeds_of_the_plain_scan(problem):
+    solutions = solution_classes(NormFormProblem(*problem))
+    assert solutions.scan_bound < 2 * 10**4
+    assert seeds_match(NormFormProblem(*problem), solutions)
+    # windows that end on a seed, or just before it
+    for _, y in norm_oracle.solver_seeds(solutions.orbits)[:4]:
+        for ylim in (y - 1, y):
+            assert normform._seeds(*problem, ylim) == scan_seeds(*problem, ylim)
+
+
+@pytest.mark.parametrize("d, m, scan_bound", [
+    (103, 12, 189659), (2, 3, 20), (13, 6, 1374), (7, -5, 31), (3, 10, 26),
+])
+def test_problems_without_a_wheel_residue_have_no_seeds(d, m, scan_bound):
+    # m + d*r^2 is a nonsquare mod 16, 9, 5 or 7 for every r mod 5040, so
+    # the wheel visits no y and the plain scan of the window finds none
+    squares = {q: {r * r % q for r in range(q)} for q in (16, 9, 5, 7)}
+    assert not any(all((m + d * r * r) % q in squares[q] for q in squares)
+                   for r in range(5040))
+    solutions = solution_classes(NormFormProblem(d, m))
+    assert (solutions.scan_bound, solutions.orbits) == (scan_bound, ())
+    assert scan_seeds(d, m, solutions.scan_bound) == []
 
 
 def test_representatives_are_minimal_nontrivial():
