@@ -12,7 +12,11 @@ byte-identical documents. _write_canonical streams that exact text to the
 file, stdout or both in one pass, without importing json: one recursive
 encoder buffers the text and hands it on in chunks of about 32 Ki
 characters at any depth, and encodes a generator as the list it yields, so
-a handler can pass a long result without building it. Output that cannot
+a handler can pass a long result without building it. A RecordTable, a
+sorted key tuple with an iterable of value tuples (each value an int or a
+tuple of ints), is written as the list of dicts it stands for, one row at a
+time through a %-template per value shape, so a long list of small records
+needs no dict per record. Output that cannot
 be opened or written, the document or the text summary, is an error
 (exit 1, one `error:` line naming the --out path or stdout); so is a
 write to an unbuffered stdout that ends short.
@@ -232,6 +236,68 @@ def _quote(text: str) -> str:
     return '"' + _ESCAPE.sub(_escape, text) + '"'
 
 
+class RecordTable:
+    """A list of objects with one sorted key tuple, written as the list of
+    dicts it stands for. Each row holds one value per key, an int or a tuple
+    of ints; the writer renders a row through one %-template per value
+    shape, without building its dict."""
+
+    __slots__ = ("keys", "rows")
+
+    def __init__(self, keys, rows):
+        if list(keys) != sorted(set(keys)):
+            raise ValueError("record table keys must be sorted and distinct")
+        self.keys, self.rows = tuple(keys), rows
+
+
+def _row_template(keys, shape, indent: str) -> str:
+    """The text of one row of a RecordTable as a %-template; shape holds -1
+    for an int value and a tuple value's length; indent is the row's."""
+    if len(shape) != len(keys):
+        raise ValueError(f"a record table row has {len(shape)} values for {len(keys)} keys")
+    if not keys:
+        return "{}"
+    field, item = indent + "  ", indent + "    "
+    parts = []
+    for key, width in zip(keys, shape):
+        if width < 0:
+            text = "%d"
+        elif width == 0:
+            text = "[]"
+        else:
+            text = "[" + item + ("," + item).join(["%d"] * width) + field + "]"
+        parts.append(field + _quote(key).replace("%", "%%") + ": " + text)
+    return "{" + ",".join(parts) + indent + "}"
+
+
+def _emit_table(table: RecordTable, indent: str, buffer, write) -> None:
+    # _emit's array text for the table's rows, with _emit's chunking
+    inner = indent + "  "
+    comma = "," + inner
+    separator = "[" + inner
+    templates: dict[tuple, str] = {}
+    for row in table.rows:
+        shape, flat = [], []
+        for value in row:
+            if type(value) is tuple:
+                shape.append(len(value))
+                flat += value
+            else:
+                shape.append(-1)
+                flat.append(value)
+        shape = tuple(shape)
+        template = templates.get(shape)
+        if template is None:
+            template = templates[shape] = _row_template(table.keys, shape, inner)
+        buffer.write(separator + template % tuple(flat))
+        separator = comma
+        if buffer.tell() >= _CHUNK:
+            write(buffer.getvalue())
+            buffer.seek(0)
+            buffer.truncate()
+    buffer.write(indent + "]" if separator is comma else "[]")
+
+
 def _emit(value, indent: str, buffer, write) -> None:
     """Add value's indent=2 text to buffer; indent is its line's newline prefix.
 
@@ -252,6 +318,8 @@ def _emit(value, indent: str, buffer, write) -> None:
         buffer.write("false")
     elif isinstance(value, int):
         buffer.write(int.__repr__(value))
+    elif type(value) is RecordTable:
+        _emit_table(value, indent, buffer, write)
     else:
         if isinstance(value, dict):
             items, opening, closing = sorted(value.items()), "{", "}"

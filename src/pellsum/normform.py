@@ -218,18 +218,31 @@ def coordinate_set(
     By default only solutions with both coordinates nonzero contribute;
     include_trivial adds values coming from solutions with a zero
     coordinate. Zero itself is never listed.
+
+    When solution_classes refuses its window, a bound whose own y window
+    (bound itself for coord=2, isqrt((bound^2 - m) // d) for coord=1) is
+    within SEED_SCAN_BUDGET is answered by scanning that window with _seeds;
+    the values are the same either way.
     """
     if coord not in (1, 2):
         raise ValueError("coord must be 1 or 2")
     values: set[int] = set()
     if bound < 1:
         return []
-    for orbit in solution_classes(problem).orbits:
-        for x, y in orbit.elements(bound, coord):
-            if not include_trivial and (x == 0 or y == 0):
-                continue
-            v = (x, y)[coord - 1]
-            if v >= 1:
-                values.add(v)
+    try:
+        # one orbit's elements at a time; the outermost iterable runs here
+        pairs = (p for orbit in solution_classes(problem).orbits
+                 for p in orbit.elements(bound, coord))
+    except SearchBudgetError:
+        d, m = problem.d, problem.m
+        window = bound if coord == 2 else isqrt(max(bound * bound - m, 0) // d)
+        if window >= SEED_SCAN_BUDGET:
+            raise
+        pairs = [p for p in _seeds(d, m, window) if p[coord - 1] <= bound]
+    for x, y in pairs:
+        if not include_trivial and (x == 0 or y == 0):
+            continue
+        v = (x, y)[coord - 1]
+        if v >= 1:
+            values.add(v)
     return sorted(values)
-

@@ -176,8 +176,10 @@ def pair_sum_search(
 # 0.15-0.5 us, so the budget keeps a search to a few seconds; the
 # catalogue's largest S-unit job needs about 2.3e5.
 SUNIT_LOOKUP_BUDGET = 10**7
-# Building one S-unit and its scaled integer takes about 6 us (29,282 units
-# over {2,3,5,7} at E = 5), so the estimate counts a unit as this many lookups.
+# The estimate counts building a unit as this many lookups. A unit's scaled
+# integer and half-box flag now take about 0.3 us (29,282 units over
+# {2,3,5,7} at E = 5, with their lookups); the weight stays at the 6 us the
+# units took as records, so the same inputs refuse.
 _LOOKUPS_PER_UNIT = 20
 
 
@@ -194,21 +196,25 @@ def sunit_sum_search(
     Every unit times scale = prod p^expbound is the integer
     sign * prod p^(b + expbound), so a multiset is a hit exactly when its
     scaled sum is x*scale for a coordinate value x, and every such x lies in
-    [1, coordbound]; a unit's Fraction value is read only for the multisets
-    a lookup finds. Each (t-1)-multiset prefix of unit indices is summed
-    once; for each x, the last unit is looked up as x*scale minus the prefix
-    sum in a dict from scaled value to unit index (distinct S-units have
-    distinct values). A unit found below the prefix's last index is skipped,
-    so each multiset is found once.
+    [1, coordbound]. The scaled integers and the half-box flags are built
+    straight from the exponent vectors, in enumerate_sunits' order; distinct
+    S-units have distinct values. Each (t-1)-multiset prefix of unit indices
+    is summed once, and its completions are one set intersection on the
+    smaller side: its sum plus each unit at or after its last index against
+    the goals x*scale, or each goal minus its sum against the units (a unit
+    found below the last index is skipped), so each multiset is found once.
+    subsums_nonvanishing checks the scaled entries, and a unit's Fraction
+    is built once, for the tuples a lookup finds.
 
-    The work is C(|U|+t-2, t-1) prefixes times |X| lookups, after |U| units
-    are built. An estimate past SUNIT_LOOKUP_BUDGET raises SearchBudgetError
-    before any unit is built.
+    The work is C(|U|+t-2, t-1) prefixes times min(|U|, |X|) lookups, after
+    |U| units are built. An estimate past SUNIT_LOOKUP_BUDGET raises
+    SearchBudgetError before any unit is built.
 
     Hits record the certificate; entries are reported in ascending value
-    order, hits by (total, entries).
+    order, hits by (total, entries), which is the order of (x, scaled
+    entries) since scale > 0.
     """
-    from .sunits import enumerate_sunits, subsums_nonvanishing
+    from .sunits import subsums_nonvanishing
 
     if not 1 <= tuple_size <= 4:
         raise ValueError("tuple size must be between 1 and 4")
@@ -229,35 +235,43 @@ def sunit_sum_search(
             f" {prefixes} prefixes, {len(targets)} coordinate values);"
             f" the budget is {SUNIT_LOOKUP_BUDGET}"
         )
-    units = list(enumerate_sunits(basis, expbound))
+    # exponent vectors in lexicographic order, the first prime outermost;
+    # each magnitude is p^(b + E) multiplied out, taken with sign +1, then -1
+    exps = range(-expbound, expbound + 1)
+    magnitudes, in_half = [1], [True]
+    for p in basis.primes:
+        magnitudes = [m * p ** (b + expbound) for m in magnitudes for b in exps]
+        in_half = [h and abs(b) <= expbound // 2 for h in in_half for b in exps]
+    scaled = [s for m in magnitudes for s in (m, -m)]
+    in_half = [h for h in in_half for _ in (1, -1)]
     scale = prod(p**expbound for p in basis.primes)
-    scaled = [
-        u.sign * prod(p ** (b + expbound) for p, b in zip(basis.primes, u.exponents))
-        for u in units
-    ]
     position = {s: k for k, s in enumerate(scaled)}
-    goals = [(x, x * scale) for x in targets]
-    half_box = {
-        i for i, u in enumerate(units) if all(abs(b) <= expbound // 2 for b in u.exponents)
-    }
+    goals = {x * scale for x in targets}
 
-    collected: list[tuple] = []
-    for prefix in combinations_with_replacement(range(len(units)), tuple_size - 1):
-        partial = sum(scaled[k] for k in prefix)
+    found = []
+    for prefix in combinations_with_replacement(range(len(scaled)), tuple_size - 1):
+        partial = sum(map(scaled.__getitem__, prefix))
         last = prefix[-1] if prefix else 0
-        for x, goal in goals:
-            k = position.get(goal - partial)
-            if k is None or k < last:
-                continue
-            picked = prefix + (k,)
-            entry_vals = tuple(sorted(units[j].value for j in picked))
-            cert = subsums_nonvanishing(entry_vals)
+        if len(scaled) - last <= len(goals):
+            ends = [position[g - partial] for g in goals.intersection(
+                map(partial.__add__, scaled[last:]))]
+        else:
+            ends = [k for k in map(position.__getitem__, position.keys() & map(
+                partial.__rsub__, goals)) if k >= last]
+        for k in ends:
+            picked = sorted(prefix + (k,), key=scaled.__getitem__)
+            entries = tuple(scaled[j] for j in picked)
+            cert = subsums_nonvanishing(entries)
             if cert.ok:
-                hit = SUnitHit(entry_vals, Fraction(x), _memberships(index, x), cert)
-                collected.append((hit, all(j in half_box for j in picked)))
-    collected.sort(key=lambda pair: (pair[0].total, pair[0].entries))
-    at_half = sum(1 for _, in_half in collected if in_half)
-    hits = tuple(h for h, _ in collected)
+                found.append(((sum(entries) // scale, entries), picked, cert))
+    found.sort(key=lambda hit: hit[0])
+    fraction = {k: Fraction(scaled[k], scale) for _, picked, _ in found for k in picked}
+    hits = tuple(
+        SUnitHit(tuple(map(fraction.__getitem__, picked)), Fraction(x),
+                 _memberships(index, x), cert)
+        for (x, _), picked, cert in found
+    )
+    at_half = sum(1 for _, picked, _ in found if all(in_half[k] for k in picked))
 
     return SearchReport(
         kind="sunit-sum",
@@ -282,40 +296,55 @@ def vanishing_pair_sums(
     rec: LinearRecurrence, nbound: int
 ) -> list[tuple[int, int, tuple[int, ...]]]:
     """All (n1 <= n2 <= nbound, delta) with sum over i in delta of
-    f_i*(alpha_i^{n1} + alpha_i^{n2}) exactly zero.
+    f_i*(alpha_i^{n1} + alpha_i^{n2}) exactly zero, ordered by (n1, n2) and
+    then delta as (1,), (2,), (1, 2).
 
     delta ranges over {1}, {2} (the per-root conditions) and {1, 2} (the
     full sum U_{n1} + U_{n2} = 0). With k = n2 - n1, the root-i part
     f_i*alpha_i^{n1}*(1 + alpha_i^k) is zero exactly when f_i = 0 or
     alpha_i has even order r and k = r/2 (mod r); a root of unity in Q or a
     quadratic field has order at most 6, so root_of_unity_order decides it.
-    The full sum is tested on the integer terms. (0, 0) counts when U_0 = 0.
+    The full sum vanishes where U_{n2} = -U_{n1}, found in a dict from each
+    term value to its ascending indices. (0, 0) counts when U_0 = 0.
+
+    For each n1 the candidates are read off those progressions and index
+    lists, never tested pair by pair, so the time after the terms is about
+    O(N + hits). Each candidate n2 is coded as 3*n2 + kind, with kind 0, 1
+    and 2 for delta (1,), (2,) and (1, 2), so that one integer sort merges a
+    row's ascending runs in hit order.
     """
     from .recurrences import binet, root_of_unity_order, terms_up_to
 
     if nbound < 1:
         raise ValueError("nbound must be >= 1")
     form = binet(rec)
-    # (r, s) per root: its part vanishes exactly when k = s (mod r)
-    residues = []
-    for f, alpha in zip(form.coeffs, form.roots):
+    stop = 3 * (nbound + 1)
+    # (kind, s, r) per root: its part vanishes exactly when k = s (mod r)
+    rules = []
+    for kind, (f, alpha) in enumerate(zip(form.coeffs, form.roots)):
         r = root_of_unity_order(alpha)
         if not f:
-            residues.append((1, 0))
+            rules.append((kind, 0, 1))
         elif r is not None and r % 2 == 0:
-            residues.append((r, r // 2))
-        else:
-            residues.append(None)
+            rules.append((kind, r // 2, r))
     terms = terms_up_to(rec, nbound)
+    where: dict[int, list[int]] = {}
+    for n, u in enumerate(terms):
+        where.setdefault(u, []).append(3 * n + 2)
+    decoded = [(n, delta) for n in range(nbound + 1) for delta in _DELTAS]  # code -> (n2, delta)
     out = []
-    for n1 in range(nbound + 1):
-        for n2 in range(n1, nbound + 1):
-            for delta, rule in zip(((1,), (2,)), residues):
-                if rule is not None and (n2 - n1) % rule[0] == rule[1]:
-                    out.append((n1, n2, delta))
-            if terms[n1] + terms[n2] == 0:
-                out.append((n1, n2, (1, 2)))
+    for n1, u1 in enumerate(terms):
+        row = [code for kind, s, r in rules for code in range(3 * (n1 + s) + kind, stop, 3 * r)]
+        cancel = where.get(-u1)
+        if cancel:
+            row += cancel[bisect_left(cancel, 3 * n1):]
+        row.sort()
+        out += [(n1, *decoded[code]) for code in row]
     return out
+
+
+# the delta of each kind a vanishing_pair_sums candidate is coded with
+_DELTAS = ((1,), (2,), (1, 2))
 
 
 # -- counting bound ----------------------------------------------------------
@@ -516,14 +545,17 @@ def _cmd_sunit_search(args):
 
 
 def _cmd_vanishing(args):
+    from .cli import RecordTable
     from .recurrences import LinearRecurrence, _rec_config
 
     rec = LinearRecurrence.from_literal(args.rec)
     hits = vanishing_pair_sums(rec, args.n)
     results = {
         "count": len(hits),
-        # the writer builds each hit's dict as it reaches it
-        "hits": ({"n1": n1, "n2": n2, "delta": list(delta)} for n1, n2, delta in hits),
+        # the writer renders each row without building its dict
+        "hits": RecordTable(
+            ("delta", "n1", "n2"), ((delta, n1, n2) for n1, n2, delta in hits)
+        ),
     }
     lines = [f"{len(hits)} vanishing subsum(s) with n1 <= n2 <= {args.n}"]
     for n1, n2, delta in hits[:20]:

@@ -121,15 +121,16 @@ class SubsumCertificate:
 
 
 def subsums_nonvanishing(entries) -> SubsumCertificate:
-    """Check all 2^t - 1 nonempty subsums of up to t = 20 rationals."""
-    values = [Fraction(w) for w in entries]
+    """Check all 2^t - 1 nonempty subsums of up to t = 20 rationals; int
+    entries are summed as they are."""
+    values = [w if type(w) is int else Fraction(w) for w in entries]
     t = len(values)
     if t < 1:
         raise ValueError("need at least one entry")
     if t > 20:
         raise TupleTooLargeError(f"{t} entries means 2^{t} subsums; capped at 20")
 
-    def scan(start: int, acc: Fraction, picked: tuple[int, ...]):
+    def scan(start: int, acc, picked: tuple[int, ...]):
         for i in range(start, t):
             total = acc + values[i]
             chosen = picked + (i + 1,)
@@ -140,5 +141,5 @@ def subsums_nonvanishing(entries) -> SubsumCertificate:
                 return hit
         return None
 
-    witness = scan(0, Fraction(0), ())
+    witness = scan(0, 0, ())
     return SubsumCertificate(witness is None, witness, t)

@@ -143,6 +143,51 @@ def test_values_json_would_convert_or_reject_raise_type_error(bad):
             written(doc)
 
 
+_cells = st.one_of(st.integers(), st.lists(st.integers(), max_size=3).map(tuple))
+
+
+@st.composite
+def _tables(draw):
+    """(keys, rows): sorted distinct keys, rows of ints and int tuples whose
+    shapes differ from row to row."""
+    keys = sorted(draw(st.lists(_texts | st.sampled_from(["%", "%d", "a%%"]),
+                                max_size=4, unique=True)))
+    return keys, draw(st.lists(st.tuples(*[_cells] * len(keys)), max_size=6))
+
+
+def nested(value, depth):
+    for level in range(depth):
+        value = {"hits": value} if level % 2 == 0 else [value, 0]
+    return value
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_tables(), st.integers(1, 3), st.booleans())
+@example(([], []), 1, False)
+@example(([], [(), ()]), 2, True)
+@example((["delta", "n1", "n2"], []), 3, True)
+# 3,000 rows of three shapes cross _CHUNK a few times
+@example((["delta", "n1", "n2"], [((1, 2)[: n % 3], n, -n) for n in range(3000)]), 3, True)
+@example((["a", "b"], [((), (n,) * (n % 4)) for n in range(2000)]), 1, False)
+def test_record_table_writes_its_list_of_dicts(table, depth, lazy_rows):
+    keys, rows = table
+    dicts = nested([dict(zip(keys, row)) for row in rows], depth)
+    record_table = cli.RecordTable(keys, iter(rows) if lazy_rows else rows)
+    pieces = written(nested(record_table, depth))
+    assert "".join(pieces) == "".join(written(dicts)) == oracle(dicts)
+    # chunks are cut between rows, soon after _CHUNK characters
+    assert all(cli._CHUNK <= len(piece) < cli._CHUNK + 200 for piece in pieces[:-1])
+
+
+def test_record_table_refuses_unsorted_keys_and_short_rows():
+    with pytest.raises(ValueError, match="sorted and distinct"):
+        cli.RecordTable(("n2", "n1"), [])
+    with pytest.raises(ValueError, match="sorted and distinct"):
+        cli.RecordTable(("a", "a"), [])
+    with pytest.raises(ValueError, match="2 values for 3 keys"):
+        written(cli.RecordTable(("a", "b", "c"), [(1, 2)]))
+
+
 def test_dense_vanishing_document_streams_in_small_pieces(monkeypatch, no_digit_cap):
     class Sink:
         def __init__(self):

@@ -130,7 +130,9 @@ def test_solve_norm(capsys):
 
 
 # (argv, window): the two named norm-sweep jobs and the 24 solve-norm and
-# coords draws of its hang pool, whose seed windows run past the budget
+# coords draws of its hang pool, whose seed windows run past the budget; a
+# list in place of the window is the values of a coords job whose bound
+# keeps its own y window within the budget, which it answers
 _PAST_SEED_BUDGET = [
     (["solve-norm", "--d=61", "--m=4"], 1532378957),
     (["solve-norm", "--d=109", "--m=4"], 97384602297709),
@@ -159,7 +161,7 @@ _PAST_SEED_BUDGET = [
     (["solve-norm", "--d=814", "--m=-67"], 2726738729184),
     (["solve-norm", "--d=809", "--m=99"], 271529807517653410347066),
     (["coords", "--d=181", "--m=-98", "--coord=1", f"--bound={10**29}"], 3876605850302040748),
-    (["coords", "--d=758", "--m=89", "--coord=2", "--bound=1000000"], 309244137),
+    (["coords", "--d=758", "--m=89", "--coord=2", "--bound=1000000"], []),
     # the searches reach the same check through coordinate_index
     (["pairs-search", "--rec=1,1;0,1", "--d=61", "--m=4", "--n=10", "--bound=100"],
      1532378957),
@@ -180,6 +182,10 @@ def test_seed_windows_past_the_budget_refuse_within_a_second(argv, window, capsy
     code, out, err = run_main([*argv, "--format=structured"], capsys)
     assert time.perf_counter() - start < 1
     d, m = _d_and_m(argv)
+    if isinstance(window, list):
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["values"] == window
+        return
     assert (code, out) == (1, "")
     assert err == (f"error: seed scan of x^2 - {d}*y^2 = {m} needs a window of {window}"
                    f" y values; the budget is {normform.SEED_SCAN_BUDGET}\n")

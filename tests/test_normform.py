@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pellsum import normform
-from pellsum.errors import InvariantViolationError, NotSquarefreeError
+from pellsum.errors import InvariantViolationError, NotSquarefreeError, SearchBudgetError
 from pellsum.normform import (
     NormFormProblem,
     coordinate_set,
@@ -307,3 +307,38 @@ def test_multi_class_problem():
 def test_coordinate_set_rejects_bad_coord():
     with pytest.raises(ValueError):
         coordinate_set(NormFormProblem(13, 4), 3, 100)
+
+
+def _scanned_values(d, m, coord, bound, include_trivial):
+    # the plain scan: every solution with x <= bound, or every y <= bound
+    pairs = brute_solutions(d, m, bound) if coord == 1 else scan_seeds(d, m, bound)
+    return sorted({(x, y)[coord - 1] for x, y in pairs
+                   if (include_trivial or (x and y)) and (x, y)[coord - 1] >= 1})
+
+
+@pytest.mark.parametrize("d, m, coord, bound", [
+    (61, 4, 1, 10**6), (61, 4, 1, 2), (61, -4, 2, 10**5), (61, -4, 1, 10**6),
+    (109, 4, 2, 10**5), (109, -4, 1, 10**7),
+])
+def test_coordinate_set_scans_its_own_window_past_the_class_budget(d, m, coord, bound):
+    # the class windows of d = 61 and 109 (1.5e9 and 9.7e13) are past the
+    # budget; the y windows of these bounds are within it
+    for include_trivial in (False, True):
+        assert coordinate_set(NormFormProblem(d, m), coord, bound, include_trivial) == (
+            _scanned_values(d, m, coord, bound, include_trivial))
+
+
+def test_coordinate_set_answers_below_the_budget_and_refuses_at_it(monkeypatch):
+    problem = NormFormProblem(13, 4)
+    window = solution_classes(problem).scan_bound + 1
+    want = [coordinate_set(problem, 2, window - 2, True),
+            coordinate_set(problem, 1, 3 * window, True)]
+    monkeypatch.setattr(normform, "SEED_SCAN_BUDGET", window - 1)
+    with pytest.raises(SearchBudgetError, match=f"a window of {window} y"):
+        solution_classes(problem)
+    # the bound's own window: bound for y, isqrt((bound^2 - 4) // 13) for x
+    assert [coordinate_set(problem, 2, window - 2, True),
+            coordinate_set(problem, 1, 3 * window, True)] == want
+    for coord, bound in ((2, window - 1), (1, isqrt(13 * (window - 1) ** 2 + 4) + 1)):
+        with pytest.raises(SearchBudgetError, match=f"a window of {window} y"):
+            coordinate_set(problem, coord, bound)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pellsum import partitions, search
+from pellsum import partitions, search, sunits
 from pellsum.cli import main
 from pellsum.errors import RepeatedRootError, SearchBudgetError, TooManyIndicesError
 from pellsum.normform import NormFormProblem, coordinate_set
@@ -32,6 +33,9 @@ from pellsum.search import (
     vanishing_pair_sums,
 )
 from pellsum.sunits import SPrimeSet, SUnit, enumerate_sunits, subsums_nonvanishing
+
+import search_oracle
+from search_oracle import goal_loop_sunit_hits, pair_loop_vanishing_sums
 
 P134 = NormFormProblem(13, 4)
 
@@ -205,10 +209,11 @@ def test_sunit_search_reads_unit_values_only_for_found_tuples(monkeypatch, capsy
     reads = []
     value = SUnit.value
     monkeypatch.setattr(SUnit, "value", property(lambda u: reads.append(u) or value.fget(u)))
+    monkeypatch.setattr(sunits, "enumerate_sunits", None)
     report = sunit_sum_search(SPrimeSet((2, 3, 5, 7)), 1, 5, P134, 10**6)
     assert [hit.total for hit in report.hits] == [3, 360]
-    # with t = 1 each tuple a lookup finds is a hit: one entry, one read
-    assert len(reads) <= len(report.hits)
+    # the units are built from their exponent vectors, with no SUnit record
+    assert reads == []
     argv = ["sunit-search", "--primes=2,3,5,7", "--t=1", "--exp-bound=5",
             "--d=13", "--m=4", "--bound=1000000", "--format=structured"]
     assert main(argv) == 0
@@ -437,17 +442,19 @@ def enumerated_sunit_hits(basis, tuple_size, expbound, problem, coordbound):
 
 def root_field_vanishing_sums(rec, nbound):
     form = binet(rec)
-    f1, f2 = form.coeffs
-    a1, a2 = form.roots
-    pow1, pow2 = [a1**0], [a2**0]
-    for _ in range(nbound):
-        pow1.append(pow1[-1] * a1)
-        pow2.append(pow2[-1] * a2)
+    # g_i[n] = f_i * alpha_i^n, so the root-i part of a pair is g_i[n1] + g_i[n2]
+    parts = []
+    for f, alpha in zip(form.coeffs, form.roots):
+        g = [f * alpha**0]
+        for _ in range(nbound):
+            g.append(g[-1] * alpha)
+        parts.append(g)
+    g1, g2 = parts
     out = []
     for n1 in range(nbound + 1):
         for n2 in range(n1, nbound + 1):
-            s1 = f1 * (pow1[n1] + pow1[n2])
-            s2 = f2 * (pow2[n1] + pow2[n2])
+            s1 = g1[n1] + g1[n2]
+            s2 = g2[n1] + g2[n2]
             for delta, s in (((1,), s1), ((2,), s2), ((1, 2), s1 + s2)):
                 if not s:
                     out.append((n1, n2, delta))
@@ -556,12 +563,56 @@ def test_pair_search_matches_enumeration(rec, nbound, dm, bound_exp):
     assert pair_hit_keys(report) == enumerated_pair_hits(rec, problem, nbound, coordbound)
 
 
+# roots of unity of every order a rational or quadratic root can have: 1
+# (roots 1, 2), 2 (-1, 2), 1 and 2 (1, -1), 3 (cube roots), 4 (+-i) and 6;
+# U_n = 2^n and U_n = (-1)^n put f_i = 0 on one root, and (-1)^n also has
+# both per-root parts and the full sum vanish on every odd k
+UNITY_RECS = ["3,-2;0,1", "1,2;0,1", "0,1;0,1", "-1,-1;0,1", "0,-1;0,1", "1,-1;0,1",
+              "3,-2;1,2", "1,2;1,-1"]
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
-@given(recurrences, st.integers(1, 40))
+@given(recurrences, st.integers(1, 150))
+@example(LinearRecurrence.from_literal("1,2;1,-1"), 150)
+@example(LinearRecurrence.from_literal("1,-1;0,3"), 150)
 def test_vanishing_matches_root_field_sums(rec, nbound):
     assert outcome(vanishing_pair_sums, rec, nbound) == outcome(
         root_field_vanishing_sums, rec, nbound
     )
+
+
+@pytest.mark.parametrize("literal", UNITY_RECS)
+def test_vanishing_on_roots_of_unity_matches_both_oracles(literal):
+    rec = LinearRecurrence.from_literal(literal)
+    hits = vanishing_pair_sums(rec, 150)
+    assert hits == root_field_vanishing_sums(rec, 150) == pair_loop_vanishing_sums(rec, 150)
+    if literal == "1,2;1,-1":  # f_1 = 0 on the root 2: every pair vanishes there
+        assert hits[:5] == [(0, 0, (1,)), (0, 1, (1,)), (0, 1, (2,)), (0, 1, (1, 2)),
+                            (0, 2, (1,))]
+
+
+def test_vanishing_answers_n_4000_with_the_pair_loops_bytes(capsys):
+    # one hit in 8,006,001 pairs; the pair loop took 3.9 s
+    start = time.perf_counter()
+    assert main(["vanishing", "--rec=2,1;0,1", "--n=4000", "--format=structured"]) == 0
+    assert time.perf_counter() - start < 1
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == (
+        "0e8670725beb9c894481560fb9c1e651d742ee373b3e70f30ecbc4fc8d777a51"
+    )
+
+
+def test_search_oracle_sweep_counts_problems_and_fails_on_a_mismatch(monkeypatch, capsys):
+    narrow = {"nbounds": (1, 7, 40), "coeff": 1, "primes": (2, 3), "max_size": 3,
+              "max_exp": 1}
+    assert search_oracle.sweep(**narrow) == 0
+    assert capsys.readouterr().out == "576 problems, 0 mismatches\n"
+    monkeypatch.setattr(search_oracle, "pair_loop_vanishing_sums", lambda rec, n: [])
+    monkeypatch.setattr(search_oracle, "goal_loop_sunit_hits", lambda *args: ((), (0, 0)))
+    assert search_oracle.sweep(**narrow) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1].startswith("576 problems, ") and out[-1] != "576 problems, 0 mismatches"
+    assert {line.split(":")[0] for line in out[:-1]} == {
+        "vanishing mismatch", "sunit mismatch"}
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
@@ -602,4 +653,4 @@ def test_sunit_search_matches_enumeration(primes, tuple_size, expbound, dm, coor
     report = sunit_sum_search(basis, tuple_size, expbound, problem, coordbound)
     assert (report.hits, report.stabilization) == enumerated_sunit_hits(
         basis, tuple_size, expbound, problem, coordbound
-    )
+    ) == goal_loop_sunit_hits(basis, tuple_size, expbound, problem, coordbound)
