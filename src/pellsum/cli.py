@@ -57,13 +57,12 @@ import os
 import re
 import sys
 from importlib import import_module
-from math import isqrt
 from types import GeneratorType
 
 from . import __version__
 from .errors import InvariantViolationError, PellsumError
 from .normform import NormFormProblem, coordinate_set, solution_classes
-from .pell import pell_data
+from .pell import _pell_results, pell_data
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,19 +79,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _cmd_pell(args):
     data = pell_data(args.d)
-    a0, digits = isqrt(args.d), list(data.period)
-    results = {
-        "d": args.d,
-        "a0": a0,
-        "period": digits,
-        "period_length": len(digits),
-        "fundamental": list(data.fundamental),
-        "negative": list(data.negative) if data.negative else None,
-        "automorph": list(data.automorph),
-        "unit": str(data.unit()),
-    }
+    results = _pell_results(data)
     lines = [
-        f"sqrt({args.d}) = [{a0}; {', '.join(map(str, digits))}] (period {len(digits)})",
+        f"sqrt({args.d}) = [{results['a0']}; {', '.join(map(str, data.period))}]"
+        f" (period {results['period_length']})",
         f"fundamental solution of x^2 - {args.d}*y^2 = 1: {data.fundamental}",
         (
             f"minimal solution of x^2 - {args.d}*y^2 = -1: {data.negative}"

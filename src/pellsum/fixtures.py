@@ -13,12 +13,11 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from math import isqrt
 
 from ._records import record
 from .errors import UnknownRemarkError
 from .normform import NormFormProblem, coordinate_set
-from .pell import pell_data
+from .pell import _pell_results, pell_data
 from .quadfield import QuadNum
 from .recurrences import (
     LinearRecurrence,
@@ -73,13 +72,9 @@ def _check(name: str, passed: bool, expected: object, computed: object) -> Check
 
 
 def _pell_check(name: str, d: int, stated: dict) -> CheckResult:
-    """Compare the Pell data of d with the keys the record states, in its order."""
-    data = pell_data(d)
-    values = {"fundamental": list(data.fundamental), "negative": list(data.negative),
-              "automorph": list(data.automorph)}
-    if stated.keys() & {"a0", "period"}:
-        values["a0"], values["period"] = isqrt(d), list(data.period)
-    computed = {key: values[key] for key in stated}
+    """Compare the `pell` results for d with the keys the record states, in its order."""
+    results = _pell_results(pell_data(d))
+    computed = {key: results[key] for key in stated}
     return _check(name, computed == stated, stated, computed)
 
 

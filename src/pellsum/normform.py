@@ -7,7 +7,8 @@ of interest collect absolute values only.
 
 Seeds come from a scan of y = 0 ... ylim, ylim growing with the fundamental
 unit: a window past SEED_SCAN_BUDGET is refused before the scan, and the
-scan tries only the y whose m + d*y^2 is a square mod 16, 9, 5 and 7.
+scan tries only the y whose m + d*y^2 is a square mod 16, 9, 5 and 7. A
+coordinate-bounded query answers a refused window by _within_own_window.
 """
 
 from __future__ import annotations
@@ -219,10 +220,9 @@ def coordinate_set(
     include_trivial adds values coming from solutions with a zero
     coordinate. Zero itself is never listed.
 
-    When solution_classes refuses its window, a bound whose own y window
-    (bound itself for coord=2, isqrt((bound^2 - m) // d) for coord=1) is
-    within SEED_SCAN_BUDGET is answered by scanning that window with _seeds;
-    the values are the same either way.
+    When solution_classes refuses its window, _within_own_window answers
+    from the bound's own y window, or refuses in its place; the values are
+    the same either way.
     """
     if coord not in (1, 2):
         raise ValueError("coord must be 1 or 2")
@@ -233,12 +233,8 @@ def coordinate_set(
         # one orbit's elements at a time; the outermost iterable runs here
         pairs = (p for orbit in solution_classes(problem).orbits
                  for p in orbit.elements(bound, coord))
-    except SearchBudgetError:
-        d, m = problem.d, problem.m
-        window = bound if coord == 2 else isqrt(max(bound * bound - m, 0) // d)
-        if window >= SEED_SCAN_BUDGET:
-            raise
-        pairs = [p for p in _seeds(d, m, window) if p[coord - 1] <= bound]
+    except SearchBudgetError as refusal:
+        pairs = _within_own_window(problem, bound, (coord,), refusal)[coord]
     for x, y in pairs:
         if not include_trivial and (x == 0 or y == 0):
             continue
@@ -246,3 +242,20 @@ def coordinate_set(
         if v >= 1:
             values.add(v)
     return sorted(values)
+
+
+def _within_own_window(problem: NormFormProblem, bound: int, coords: tuple[int, ...],
+                       refusal: SearchBudgetError) -> dict[int, list[tuple[int, int]]]:
+    """coord -> the solutions (x, y) >= 0, by y, whose coord-th coordinate
+    is at most bound, for a query whose class window was refused.
+
+    y <= bound holds for y in [0, bound], x <= bound for y up to
+    isqrt((bound^2 - m) // d). The widest window the coords need is scanned
+    once with _seeds; past SEED_SCAN_BUDGET, refusal is raised instead.
+    """
+    d, m = problem.d, problem.m
+    window = max(bound if c == 2 else isqrt(max(bound * bound - m, 0) // d) for c in coords)
+    if window >= SEED_SCAN_BUDGET:
+        raise refusal
+    seeds = _seeds(d, m, window)
+    return {coord: [p for p in seeds if p[coord - 1] <= bound] for coord in coords}

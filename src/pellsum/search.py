@@ -19,7 +19,7 @@ from math import comb, prod
 
 from ._records import record
 from .errors import InvariantViolationError, SearchBudgetError, UnsupportedOrderError
-from .normform import NormFormProblem, solution_classes
+from .normform import NormFormProblem, _within_own_window, solution_classes
 
 # The recurrence and S-unit layers are imported inside the kernels that use
 # them, so a job loads only its own (the cli module docstring says why).
@@ -42,20 +42,26 @@ def coordinate_index(
     """value -> witness solution, for each coordinate, nontrivial view.
 
     Each listed value keeps the smallest solution pair realizing it; every
-    entry is re-verified against the form equation on insertion.
+    entry is re-verified against the form equation on insertion. A refused
+    class window is answered, or refused, by normform._within_own_window.
     """
     index: dict[int, dict[int, tuple[int, int]]] = {1: {}, 2: {}}
-    for orbit in solution_classes(problem).orbits:
-        for coord in (1, 2):
-            for x, y in orbit.elements(bound, coord):
-                if x == 0 or y == 0:
-                    continue
-                v = (x, y)[coord - 1]
-                if problem.norm_of((x, y)) != problem.m:
-                    raise InvariantViolationError(f"bad orbit element {(x, y)}")
-                prev = index[coord].get(v)
-                if prev is None or (x, y) < prev:
-                    index[coord][v] = (x, y)
+    try:
+        # the outermost iterable runs here, so a refusal is caught
+        found = ((coord, orbit.elements(bound, coord))
+                 for orbit in solution_classes(problem).orbits for coord in (1, 2))
+    except SearchBudgetError as refusal:
+        found = _within_own_window(problem, bound, (1, 2), refusal).items()
+    for coord, pairs in found:
+        for x, y in pairs:
+            if x == 0 or y == 0:
+                continue
+            v = (x, y)[coord - 1]
+            if problem.norm_of((x, y)) != problem.m:
+                raise InvariantViolationError(f"bad orbit element {(x, y)}")
+            prev = index[coord].get(v)
+            if prev is None or (x, y) < prev:
+                index[coord][v] = (x, y)
     return index
 
 

@@ -1,13 +1,17 @@
 """Oracles for the Pell layer: the solver's solutions in a box, for
 comparison with direct scans; the plain seed scan that the residue wheel
-replaced; and the union-find merge rule that grouped seeds into classes
-before the least-member grouping replaced it.
+replaced; the union-find merge rule that grouped seeds into classes before
+the least-member grouping replaced it; and the two-pass continued fraction
+(the period up to the first repeated state, then its convergent from the
+digits) that the single walk pell._pqa replaced.
 
 Run as a script, `python3 tests/norm_oracle.py` compares, for every
 squarefree d < 1000 and 0 < |m| <= 100 whose window is at most 3e5, the
 solver's classes with the union-find grouping of the same seeds and the
-solver's seeds with the plain scan of its window. It prints the problem
-count and both mismatch counts, and exits 1 on any mismatch.
+solver's seeds with the plain scan of its window; and, for every squarefree
+d < 2e4, the walk's a0, period and convergent with the two-pass oracle. It
+prints the problem count and both mismatch counts, then the walk count and
+its mismatch count, and exits 1 on any mismatch.
 """
 
 import sys
@@ -18,10 +22,11 @@ if __name__ == "__main__":  # run as a script: import the package from this chec
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pellsum.normform import NormFormProblem, solution_classes, step
-from pellsum.pell import continued_fraction_sqrt, pell_data
+from pellsum.pell import _pqa, continued_fraction_sqrt, pell_data
 from pellsum.quadfield import is_squarefree
 
 SWEEP_WINDOW = 3 * 10**5
+WALK_LIMIT = 2 * 10**4
 
 
 def solutions_within(problem: NormFormProblem, bound: int) -> list[tuple[int, int]]:
@@ -43,10 +48,54 @@ def fundamental_x(d: int) -> int:
     so windows are sized from this before the solver is called.
     """
     a0, period = continued_fraction_sqrt(d)
-    p_prev, p = 1, a0
+    p, _ = convergent(a0, period)
+    return p if len(period) % 2 == 0 else 2 * p * p + 1
+
+
+def repeated_state_cf(d: int) -> tuple[int, list[int]]:
+    """sqrt(d) = [a0; period], the period being the digits read from the
+    state (P + sqrt(d))/Q after a0 up to that state's first repetition."""
+    a0 = isqrt(d)
+    digits: list[int] = []
+    P, Q = a0, d - a0 * a0
+    first = (P, Q)
+    while True:
+        a = (a0 + P) // Q
+        digits.append(a)
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        if (P, Q) == first:
+            return a0, digits
+
+
+def convergent(a0: int, period: list[int]) -> tuple[int, int]:
+    """p/q over the digits a0, period[0], ..., period[-2], in a second pass
+    over the digits."""
+    p_prev, p, q_prev, q = 1, a0, 0, 1
     for a in period[:-1]:
         p_prev, p = p, a * p + p_prev
-    return p if len(period) % 2 == 0 else 2 * p * p + 1
+        q_prev, q = q, a * q + q_prev
+    return p, q
+
+
+def walk_matches(d: int) -> bool:
+    """Do continued_fraction_sqrt and the last convergent of pell's walk of
+    sqrt(d) agree with the two-pass oracle?"""
+    a0, period = repeated_state_cf(d)
+    for _, p, q in _pqa(d):
+        pass
+    return continued_fraction_sqrt(d) == (a0, period) and (p, q) == convergent(a0, period)
+
+
+def walk_sweep(limit: int = WALK_LIMIT) -> int:
+    """Compare the walk with the two-pass oracle for every squarefree
+    1 < d < limit; 1 when any mismatches."""
+    walks = [d for d in range(2, limit) if is_squarefree(d)]
+    mismatches = [d for d in walks if not walk_matches(d)]
+    for d in mismatches:
+        print(f"walk mismatch: d={d}")
+    print(f"{len(walks)} Pell walks, {len(mismatches)} walk mismatches")
+    return 1 if mismatches else 0
 
 
 def scan_seeds(d: int, m: int, ylim: int) -> list[tuple[int, int]]:
@@ -146,4 +195,4 @@ def sweep(limit: int = SWEEP_WINDOW) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(sweep())
+    sys.exit(sweep() | walk_sweep())

@@ -235,9 +235,10 @@ def test_every_subcommands_document_round_trips_through_json(argv, capsys, no_di
     assert printed == oracle(json.loads(printed))
 
 
-# -- every subcommand that takes an exponent bound or an index range, over
-# drawn arguments: N <= 60, coordinate bounds <= 1e6, and (d, m) whose seed
-# window stays within 1e5
+# -- every subcommand that takes an exponent bound or an index range, and
+# `bound`, over drawn arguments: N <= 60 (and N = 20000 for `recur`, whose
+# terms may pass their bit budget), coordinate bounds <= 1e6, and (d, m)
+# whose seed window stays within 1e5
 
 _small = st.integers(-4, 4)
 _ints = _small.map(str)
@@ -290,6 +291,11 @@ _jobs = st.one_of(
               st.sampled_from((2, 1, 3, 0, -1)).map("--exp-bound={}".format),
               _norm_problem(), _bound),
     st.tuples(st.just("vanishing"), _rec(orders=(2, 2, 2, 1, 3)), _n),
+    st.tuples(st.just("recur"), _rec(), _n | st.just("--n=20000")),
+    st.tuples(st.just("bound"), st.sampled_from((1, 2, 3, 0)).map("--s={}".format),
+              st.lists(st.integers(-1, 6), min_size=1, max_size=3)
+              .map(lambda ds: "--degrees=" + ",".join(map(str, ds))),
+              st.sampled_from((2, 1, 4, 0)).map("--field-degree={}".format)),
 ).map(_argv)
 
 

@@ -12,9 +12,12 @@ from pellsum import normform, pell
 from pellsum.cli import main
 from pellsum.partitions import parse_base
 from pellsum.quadfield import quad, value_equal
-from pellsum.recurrences import LinearRecurrence, characteristic_roots
+from pellsum.recurrences import LinearRecurrence, characteristic_roots, terms_up_to
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
+from math import prod
 from recurrence_oracle import characteristic_value
+from norm_oracle import scan_seeds
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -132,7 +135,9 @@ def test_solve_norm(capsys):
 # (argv, window): the two named norm-sweep jobs and the 24 solve-norm and
 # coords draws of its hang pool, whose seed windows run past the budget; a
 # list in place of the window is the values of a coords job whose bound
-# keeps its own y window within the budget, which it answers
+# keeps its own y window within the budget, which it answers, and SCAN marks
+# a search that answers within its own window, as a plain scan does
+SCAN = "scan"
 _PAST_SEED_BUDGET = [
     (["solve-norm", "--d=61", "--m=4"], 1532378957),
     (["solve-norm", "--d=109", "--m=4"], 97384602297709),
@@ -162,11 +167,12 @@ _PAST_SEED_BUDGET = [
     (["solve-norm", "--d=809", "--m=99"], 271529807517653410347066),
     (["coords", "--d=181", "--m=-98", "--coord=1", f"--bound={10**29}"], 3876605850302040748),
     (["coords", "--d=758", "--m=89", "--coord=2", "--bound=1000000"], []),
-    # the searches reach the same check through coordinate_index
-    (["pairs-search", "--rec=1,1;0,1", "--d=61", "--m=4", "--n=10", "--bound=100"],
-     1532378957),
+    # the searches reach the same rule through coordinate_index
+    (["pairs-search", "--rec=1,1;0,1", "--d=61", "--m=4", "--n=10", "--bound=100"], SCAN),
     (["sunit-search", "--primes=2,3", "--t=2", "--exp-bound=2", "--d=61", "--m=4",
-      "--bound=100"], 1532378957),
+      "--bound=100"], SCAN),
+    (["pairs-search", "--rec=1,1;0,1", "--d=109", "--m=4", "--n=10", f"--bound={10**7}"],
+     97384602297709),
 ]
 
 
@@ -186,9 +192,67 @@ def test_seed_windows_past_the_budget_refuse_within_a_second(argv, window, capsy
         assert (code, err) == (0, "")
         assert json.loads(out)["results"]["values"] == window
         return
+    if window == SCAN:
+        assert (code, err) == (0, "")
+        assert _search_hits(json.loads(out)) == _hits_by_scan(argv)
+        return
     assert (code, out) == (1, "")
     assert err == (f"error: seed scan of x^2 - {d}*y^2 = {m} needs a window of {window}"
                    f" y values; the budget is {normform.SEED_SCAN_BUDGET}\n")
+
+
+def _search_hits(doc):
+    """A search document's hits, each without its subsum certificate, which
+    must hold."""
+    hits = doc["results"]["hits"]
+    assert all(hit.pop("certificate", {"ok": True})["ok"] for hit in hits)
+    return hits
+
+
+def _hits_by_scan(argv):
+    """The hits of a pairs-search job, or of a 2-term sunit-search job, from
+    the coordinate sets of the plain scan of y <= bound. For m > 0 that scan
+    holds every solution with x <= bound too, since then y < x."""
+    args = dict(arg[2:].split("=", 1) for arg in argv[1:])
+    bound = int(args["bound"])
+    assert int(args["m"]) > 0
+    index = {1: {}, 2: {}}
+    for x, y in scan_seeds(int(args["d"]), int(args["m"]), bound):
+        for coord, value in ((1, x), (2, y)):
+            if x and y and value <= bound:
+                index[coord][value] = [x, y]
+
+    def memberships(value):
+        return [{"coord": c, "solution": index[c][value]} for c in (1, 2) if value in index[c]]
+
+    if argv[0] == "pairs-search":
+        terms = terms_up_to(LinearRecurrence.from_literal(args["rec"]), int(args["n"]))
+        sums = ((n1, n2, terms[n1] + terms[n2])
+                for n1, n2 in combinations_with_replacement(range(len(terms)), 2))
+        return [{"n1": n1, "n2": n2, "value": s, "memberships": memberships(s)}
+                for n1, n2, s in sums if s in index[1] or s in index[2]]
+    assert args["t"] == "2"
+    primes, e = [int(p) for p in args["primes"].split(",")], int(args["exp-bound"])
+    units = sorted(sign * prod(Fraction(p) ** b for p, b in zip(primes, exps))
+                   for exps in product(range(-e, e + 1), repeat=len(primes)) for sign in (1, -1))
+    hits = sorted((u + v, (u, v)) for u, v in combinations_with_replacement(units, 2)
+                  if u + v in index[1] or u + v in index[2])
+    return [{"entries": [str(u), str(v)], "total": str(total),
+             "memberships": memberships(int(total))} for total, (u, v) in hits]
+
+
+@pytest.mark.parametrize("argv", [
+    ["pairs-search", "--rec=2,-1;0,1", "--d=61", "--m=4", "--n=200", "--bound=2000"],
+    ["sunit-search", "--primes=2,3", "--t=2", "--exp-bound=5", "--d=61", "--m=4",
+     "--bound=2000"],
+])
+def test_searches_answer_within_their_own_window_as_a_plain_scan_does(argv, capsys):
+    # the class window of x^2 - 61*y^2 = 4 is 1532378957 y values, past the
+    # budget; X1 and X2 up to 2000 are {1523} and {195}
+    code, out, err = run_main([*argv, "--format=structured"], capsys)
+    assert (code, err) == (0, "")
+    hits = _search_hits(json.loads(out))
+    assert hits and hits == _hits_by_scan(argv)
 
 
 def test_seed_scan_budget_is_measured_on_the_window(capsys, monkeypatch):
@@ -259,15 +323,12 @@ def test_sunit_search_subcommand(capsys):
                                   ["verify-remark", "--id=2.3", "--n=50"]])
 def test_a_job_expands_its_continued_fraction_once(argv, capsys, monkeypatch):
     calls = []
-    expand = pell.continued_fraction_sqrt
-    for name, module in list(sys.modules.items()):  # every module that binds it
-        if name.startswith("pellsum") and getattr(module, "continued_fraction_sqrt", None):
-            monkeypatch.setattr(module, "continued_fraction_sqrt",
-                                lambda d: calls.append(d) or expand(d))
+    walk = pell._pqa
+    monkeypatch.setattr(pell, "_pqa", lambda d: calls.append(d) or walk(d))
     pell.pell_data.cache_clear()
     code, out, err = run_main(argv, capsys)
     assert code == 0, err
-    assert calls == [13]  # inside pell_data; the period comes from its record
+    assert calls == [13]  # one walk, inside pell_data; the period comes from its record
 
 
 def test_malformed_arguments_exit_1(capsys):

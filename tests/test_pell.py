@@ -5,7 +5,8 @@ from math import gcd, isqrt
 import pytest
 
 from pellsum.errors import NotSquarefreeError
-from pellsum.pell import PellData, continued_fraction_sqrt, icbrt, pell_data
+import norm_oracle
+from pellsum.pell import PellData, _pqa, continued_fraction_sqrt, icbrt, pell_data
 from pellsum.quadfield import is_squarefree
 
 
@@ -66,6 +67,26 @@ def test_cf_last_digit_is_twice_the_first():
     for d in (2, 3, 5, 7, 13, 29, 61, 94):
         a0, period = continued_fraction_sqrt(d)
         assert period[-1] == 2 * a0
+
+
+def test_the_walk_matches_the_two_pass_oracle_for_every_squarefree_d_below_2e4(capsys):
+    assert norm_oracle.walk_sweep() == 0
+    assert capsys.readouterr().out == "12159 Pell walks, 0 walk mismatches\n"
+    # period 1, d = a0^2 + 1 (d = 2 among them): the first state after a0 has Q = 1
+    for a0 in (1, 2, 3, 4, 100):
+        d = a0 * a0 + 1
+        assert list(_pqa(d)) == [(a0, a0, 1)], d
+        assert continued_fraction_sqrt(d) == (a0, [2 * a0])
+    assert list(_pqa(3)) == [(1, 1, 1), (1, 2, 1)]
+    assert continued_fraction_sqrt(3) == (1, [1, 2])
+
+
+def test_walk_sweep_fails_on_a_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(norm_oracle, "convergent", lambda a0, period: (0, 0))
+    assert norm_oracle.walk_sweep(8) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"walk mismatch: d={d}" for d in (2, 3, 5, 6, 7)),
+        "5 Pell walks, 5 walk mismatches"]
 
 
 def test_pell_data_pinned():

@@ -66,6 +66,28 @@ def test_terms_match_iteration_for_higher_order():
         assert terms_up_to(rec, 30) == iterate(coeffs, initials, 30)
 
 
+def test_terms_refuse_past_the_bit_budget(monkeypatch, capsys):
+    # the catalogue's largest term list is far inside the budget
+    widest = terms_up_to(LinearRecurrence((3, 2), (2, 1)), 1252)
+    assert sum(u.bit_length() for u in widest) == 1436809 < recurrences._TERM_BIT_BUDGET / 20
+    pell_like = LinearRecurrence((2, 1), (1, 1))
+    assert len(terms_up_to(pell_like, 7000)) == 7001
+    with pytest.raises(SearchBudgetError, match="^terms U_0 .. U_20000 reach 33557421 bits"
+                                                " at U_7265; the budget is 33554432 bits$"):
+        terms_up_to(pell_like, 20000)
+    # the initial terms are input, not counted; U_2 .. U_5 have 2, 3, 5 and 6 bits
+    monkeypatch.setattr(recurrences, "_TERM_BIT_BUDGET", 10)
+    assert terms_up_to(pell_like, 4) == [1, 1, 3, 7, 17]
+    with pytest.raises(SearchBudgetError, match="^terms U_0 .. U_9 reach 16 bits at U_5;"):
+        terms_up_to(pell_like, 9)
+    for argv in (["recur", "--rec=2,1;1,1", "--n=9"],
+                 ["pairs-search", "--rec=2,1;1,1", "--d=13", "--m=4", "--n=9", "--bound=9"],
+                 ["vanishing", "--rec=2,1;1,1", "--n=9"]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: terms U_0 .. U_9 reach 16 bits at U_5;"
+                                           " the budget is 10 bits\n")
+
+
 def test_literal_parsing():
     rec = LinearRecurrence.from_literal("6,-1;0,1")
     assert rec.coeffs == (6, -1) and rec.initials == (0, 1)
