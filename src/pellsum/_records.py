@@ -2,8 +2,11 @@
 
 ``record`` gives a class what ``@dataclass(frozen=True)`` did, reading the
 field names from its annotations. Importing dataclasses pulls in inspect,
-ast and dis, and each dataclass compiles its methods with exec: start-up
-time that every CLI job paid.
+ast and dis, and each dataclass compiles several methods with exec: start-up
+time that every CLI job paid. ``record`` compiles one method per class, a
+plain ``def __init__(self, <fields>)``, so the interpreter binds the
+arguments and raises its own TypeErrors; the other methods are closures
+over the field names.
 """
 
 from operator import attrgetter
@@ -17,32 +20,6 @@ def _frozen_delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _bind(where: str, names: tuple, args: tuple, kwargs: dict) -> list:
-    """The field values in order, or the TypeError that a plain
-    ``def __init__(self, <names>)`` raises for these arguments."""
-    params = ("self", *names)
-    given = dict(zip(params, (None, *args)))
-    for key, value in kwargs.items():
-        if key not in params:
-            raise TypeError(f"{where} got an unexpected keyword argument {key!r}")
-        if key in given:
-            raise TypeError(f"{where} got multiple values for argument {key!r}")
-        given[key] = value
-    if len(args) >= len(params):
-        raise TypeError(
-            f"{where} takes {len(params)} positional arguments but {len(args) + 1} were given"
-        )
-    missing = [repr(name) for name in names if name not in given]
-    if missing:
-        *rest, last = missing
-        listed = f"{', '.join(rest)}{',' * (len(rest) > 1)} and {last}" if rest else last
-        raise TypeError(
-            f"{where} missing {len(missing)} required positional"
-            f" argument{'s' * bool(rest)}: {listed}"
-        )
-    return [given[name] for name in names]
-
-
 def record(cls):
     """Give cls a positional-or-keyword constructor that calls __post_init__
     (when cls has one) after setting the fields, the repr Name(field=value,
@@ -51,15 +28,22 @@ def record(cls):
     names = tuple(cls.__annotations__)
     get = attrgetter(*names)
     fields = get if len(names) > 1 else lambda self: (get(self),)
-    post_init = hasattr(cls, "__post_init__")
-    where = f"{cls.__qualname__}.__init__()"
-
-    def __init__(self, /, *args, **kwargs):
-        if kwargs or len(args) != len(names):
-            args = _bind(where, names, args, kwargs)
-        self.__dict__.update(zip(names, args))
-        if post_init:
-            self.__post_init__()  # looked up on each call, so it can be wrapped
+    # One item at a time, in field order, keeps the instance dict sharing
+    # its keys with the class's other instances: dict.update with a dict
+    # gives each instance its own key table, 72 bytes more per instance.
+    # __dict cannot be a field name: a class body mangles it.
+    source = "".join([
+        f"def __init__(self, {', '.join(names)}):\n __dict = self.__dict__\n",
+        *(f" __dict[{name!r}] = {name}\n" for name in names),
+        # looked up on each call, so it can be wrapped
+        " self.__post_init__()\n" if hasattr(cls, "__post_init__") else "",
+    ])
+    namespace = {}
+    exec(source, {}, namespace)
+    __init__ = namespace["__init__"]
+    # CPython names the function by its __qualname__ in binding errors
+    __init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    __init__.__module__ = cls.__module__
 
     def __repr__(self):
         body = ", ".join(f"{name}={value!r}" for name, value in zip(names, fields(self)))

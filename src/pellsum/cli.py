@@ -45,8 +45,11 @@ and the text summary.
 
 The records the layers return are plain immutable classes (`_records.py`),
 not dataclasses: importing `dataclasses` pulls in `inspect`, and each
-dataclass compiles its methods with `exec`, which together cost every job
-more start-up time than most of them spend computing.
+dataclass compiles several methods with `exec`, which together cost every
+job more start-up time than most of them spend computing. A record class
+compiles one method, a plain `__init__` over its fields, so the interpreter
+binds its arguments. Handlers put the records' tuples in documents as they
+are; the writer encodes a tuple as the array json.dumps makes of a list.
 """
 
 from __future__ import annotations
@@ -105,10 +108,10 @@ def _cmd_solve_norm(args):
         "orbit_count": len(sol.orbits),
         "orbits": [
             {
-                "representative": list(orbit.representative),
-                "automorph": list(orbit.automorph),
-                "seeds": [list(pair) for pair in orbit.seeds],
-                "sign_class": [list(pair) for pair in orbit.sign_class],
+                "representative": orbit.representative,
+                "automorph": orbit.automorph,
+                "seeds": orbit.seeds,
+                "sign_class": orbit.sign_class,
             }
             for orbit in sol.orbits
         ],

@@ -270,8 +270,8 @@ def _cmd_verify_remark(args):
             }
             for check in report.checks
         ],
-        "discrepancies": list(report.discrepancies),
-        "notes": list(report.notes),
+        "discrepancies": report.discrepancies,
+        "notes": report.notes,
     }
     lines = [f"fixture {report.remark_id} replayed up to n = {report.bound}"]
     for check in report.checks:

@@ -145,10 +145,10 @@ def _cmd_partitions(args):
         "partition_count": len(reports),
         "partitions": [
             {
-                "blocks": [list(block) for block in report.blocks],
+                "blocks": report.blocks,
                 "verdict": report.verdict,
                 "witnesses": [
-                    {"pair": [i, j], "exponents": list(witness)}
+                    {"pair": [i, j], "exponents": witness}
                     for i, j, witness in report.witnesses
                 ],
             }

@@ -146,7 +146,9 @@ def pell_data(d: int) -> PellData:
 
 def _pell_results(data: PellData) -> dict:
     """The results of a `pell` document; verify-remark checks a record's
-    Pell claims against the same dict."""
+    Pell claims against the same dict. Its pairs stay lists, unlike other
+    documents' tuples: that check compares them with JSON-loaded lists and
+    prints them into its computed text."""
     return {"d": data.d, "a0": isqrt(data.d), "period": list(data.period),
             "period_length": data.cf_period, "fundamental": list(data.fundamental),
             "negative": list(data.negative) if data.negative else None,

@@ -439,7 +439,7 @@ def audit_hypotheses(rec: LinearRecurrence, expbound: int = 10) -> RecurrenceHyp
 
 
 def _rec_config(rec) -> dict:
-    return {"coeffs": list(rec.coeffs), "initials": list(rec.initials)}
+    return {"coeffs": rec.coeffs, "initials": rec.initials}
 
 
 def _hypotheses_json(hyp) -> dict:
@@ -447,12 +447,12 @@ def _hypotheses_json(hyp) -> dict:
         "exp_bound": hyp.expbound,
         "nondegenerate": hyp.nondegenerate,
         "degeneracy_detail": hyp.degeneracy.detail,
-        "unity_orders": list(hyp.unity_orders),
+        "unity_orders": hyp.unity_orders,
         "independence": [
             {
                 "roots": [i, j],
                 "dependent": verdict.dependent,
-                "witness": list(verdict.witness) if verdict.witness else None,
+                "witness": verdict.witness,
                 "exp_bound": verdict.bound,
             }
             for i, j, verdict in hyp.independence

@@ -430,10 +430,11 @@ def describe_bound(n: int) -> str:
 
 
 def _sketch(text: str) -> str:
-    digits = len(text)
-    if digits <= FULL_DIGIT_LIMIT:
+    sign, digits = ("-", text[1:]) if text[0] == "-" else ("", text)
+    count = len(digits)
+    if count <= FULL_DIGIT_LIMIT:
         return text
-    return f"{text[0]}.{text[1:12]}e+{digits - 1} ({digits} digits)"
+    return f"{sign}{digits[0]}.{digits[1:12]}e+{count - 1} ({count} digits)"
 
 
 # -- subcommand handlers (cli.main dispatches here) ----------------------------
@@ -447,96 +448,73 @@ def _csv_ints(text: str) -> list[int]:
 
 
 def _membership_json(memberships) -> list[dict]:
-    return [{"coord": coord, "solution": list(pair)} for coord, pair in memberships]
+    return [{"coord": coord, "solution": pair} for coord, pair in memberships]
 
 
-def _search_json(report) -> dict:
-    out = {
+def _search_output(report, hits, hit_lines, tail=()) -> tuple[dict, list[str]]:
+    """The results and text lines every search document shares, around the
+    caller's hit rows, its text for each of the first 20 hits (each line
+    ends with the coordinate sets holding the hit's value), and its lines
+    that go before the wall time."""
+    half, full = report.stabilization
+    results = {
         "kind": report.kind,
         "d": report.problem.d,
         "m": report.problem.m,
         "bounds": dict(report.bounds),
         "hit_count": len(report.hits),
+        "hits": hits,
         "stabilization": {
-            "half_box_hits": report.stabilization[0],
-            "full_hits": report.stabilization[1],
+            "half_box_hits": half,
+            "full_hits": full,
             "stable": report.stable,
         },
     }
-    if report.kind == "pair-sum":
-        from .recurrences import _hypotheses_json
-
-        out["hits"] = [
-            {
-                "n1": hit.n1,
-                "n2": hit.n2,
-                "value": hit.value,
-                "memberships": _membership_json(hit.memberships),
-            }
-            for hit in report.hits
-        ]
-        out["hypotheses"] = (
-            _hypotheses_json(report.hypotheses) if report.hypotheses else None
-        )
-        out["hypotheses_note"] = report.hypotheses_note
-    else:
-        out["hits"] = [
-            {
-                "entries": [str(e) for e in hit.entries],
-                "total": str(hit.total),
-                "memberships": _membership_json(hit.memberships),
-                "certificate": {
-                    "ok": hit.certificate.ok,
-                    "vanishing": list(hit.certificate.vanishing)
-                    if hit.certificate.vanishing
-                    else None,
-                    "size": hit.certificate.size,
-                },
-            }
-            for hit in report.hits
-        ]
-    return out
-
-
-def _search_summary(report) -> list[str]:
     lines = [
         f"{report.kind} search over x^2 - {report.problem.d}*y^2 = {report.problem.m}",
         "bounds: " + ", ".join(f"{name} = {value}" for name, value in report.bounds),
         f"hits: {len(report.hits)}",
     ]
-    for hit in report.hits[:20]:
-        where = ", ".join(
-            f"X{coord} via {tuple(pair)}" for coord, pair in hit.memberships
-        )
-        if report.kind == "pair-sum":
-            lines.append(f"  U_{hit.n1} + U_{hit.n2} = {hit.value} in {where}")
-        else:
-            entries = " + ".join(str(e) for e in hit.entries)
-            lines.append(f"  {entries} = {hit.total} in {where}")
+    for hit, text in zip(report.hits, hit_lines):
+        where = ", ".join(f"X{coord} via {pair}" for coord, pair in hit.memberships)
+        lines.append(f"  {text} in {where}")
     if len(report.hits) > 20:
         lines.append(f"  ... {len(report.hits) - 20} more")
-    half, full = report.stabilization
     lines.append(
         f"stabilization: {half} hits in the half box, {full} total"
         + (" (stable)" if report.stable else " (still growing)")
     )
-    if report.kind == "pair-sum":
-        if report.hypotheses is not None:
-            verdict = "hold" if report.hypotheses.applicable else "FAIL"
-            lines.append(f"finiteness hypotheses {verdict}")
-        elif report.hypotheses_note:
-            lines.append(report.hypotheses_note)
+    lines += tail
     lines.append(f"wall time {report.wall_time:.3f}s")
-    return lines
+    return results, lines
 
 
 def _cmd_pairs_search(args):
-    from .recurrences import LinearRecurrence, _rec_config
+    from .recurrences import LinearRecurrence, _hypotheses_json, _rec_config
 
     rec = LinearRecurrence.from_literal(args.rec)
     problem = NormFormProblem(args.d, args.m)
     report = pair_sum_search(rec, problem, args.index_bound, args.coord_bound)
-    return {"rec": _rec_config(rec)}, _search_json(report), _search_summary(report)
+    hyp = report.hypotheses
+    hits = [
+        {
+            "n1": hit.n1,
+            "n2": hit.n2,
+            "value": hit.value,
+            "memberships": _membership_json(hit.memberships),
+        }
+        for hit in report.hits
+    ]
+    hit_lines = [f"U_{hit.n1} + U_{hit.n2} = {hit.value}" for hit in report.hits[:20]]
+    # pair_sum_search sets exactly one of the audit and the note
+    if hyp is not None:
+        note = f"finiteness hypotheses {'hold' if hyp.applicable else 'FAIL'}"
+    else:
+        note = report.hypotheses_note
+    results, lines = _search_output(report, hits, hit_lines, [note])
+    results["hypotheses"] = _hypotheses_json(hyp) if hyp is not None else None
+    results["hypotheses_note"] = report.hypotheses_note
+    return {"rec": _rec_config(rec)}, results, lines
 
 
 def _cmd_sunit_search(args):
@@ -547,7 +525,24 @@ def _cmd_sunit_search(args):
     report = sunit_sum_search(
         basis, args.tuple_size, args.exp_bound, problem, args.coord_bound
     )
-    return {"primes": list(basis.primes)}, _search_json(report), _search_summary(report)
+    hits = [
+        {
+            "entries": [str(e) for e in hit.entries],
+            "total": str(hit.total),
+            "memberships": _membership_json(hit.memberships),
+            "certificate": {
+                "ok": hit.certificate.ok,
+                "vanishing": hit.certificate.vanishing,
+                "size": hit.certificate.size,
+            },
+        }
+        for hit in report.hits
+    ]
+    hit_lines = [
+        f"{' + '.join(map(str, hit.entries))} = {hit.total}" for hit in report.hits[:20]
+    ]
+    results, lines = _search_output(report, hits, hit_lines)
+    return {"primes": basis.primes}, results, lines
 
 
 def _cmd_vanishing(args):

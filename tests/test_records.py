@@ -3,6 +3,7 @@ errors they had as @dataclass(frozen=True) classes; the expected values
 were taken from the dataclass versions."""
 
 import copy
+import inspect
 import json
 import os
 import pickle
@@ -131,6 +132,15 @@ def test_construction_errors_are_unchanged(build, kind, message):
     with pytest.raises(kind) as caught:
         build()
     assert str(caught.value) == message
+
+
+def test_constructors_are_plain_functions_over_the_fields():
+    for rec in records():
+        cls = type(rec)
+        params = list(inspect.signature(cls).parameters)
+        assert params == list(cls.__match_args__), cls
+        assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+        assert cls.__init__.__module__ == cls.__module__
 
 
 def _traced(argv):

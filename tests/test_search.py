@@ -334,19 +334,21 @@ def test_describe_bound_small_and_large():
 def test_decimal_text_agrees_with_str_up_to_300000_bits():
     rng = random.Random(21)
     sizes = [1, 64, 13999, 14000, 14001, 28001] + [rng.randint(14001, 300000) for _ in range(8)]
+    # 10^9999 has exactly FULL_DIGIT_LIMIT digits, 10^10000 one more
+    values = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in sizes] + [10**9999, 10**10000]
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        for bits in sizes:
-            n = rng.getrandbits(bits) | 1 << (bits - 1)
+        for n in values:
             text = str(n)
-            assert digit_count(n) == digit_count(-n) == len(text), bits
+            assert digit_count(n) == digit_count(-n) == len(text), n.bit_length()
             assert search._decimal(-n) == "-" + text
             if len(text) <= search.FULL_DIGIT_LIMIT:
                 assert describe_bound(n) == text
             else:
                 sketch = f"{text[0]}.{text[1:12]}e+{len(text) - 1} ({len(text)} digits)"
                 assert describe_bound(n) == sketch
+            assert describe_bound(-n) == "-" + describe_bound(n), n.bit_length()
     finally:
         sys.set_int_max_str_digits(limit)
 
