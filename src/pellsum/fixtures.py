@@ -6,6 +6,10 @@ including two claims that are wrong as stated.  ``verify_remark``
 recomputes everything from scratch and reports agreement check by check;
 disagreements the records themselves document come back in the
 ``discrepancies`` field rather than as failures.
+
+A replay checks a pair-hit count by counting the pair kernel's stream
+(search._pair_sums): it builds no hit record, no search report and no
+hypothesis audit, so its memory does not grow with the hits.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .recurrences import (
     roots_multiplicatively_independent,
     terms_up_to,
 )
-from .search import coordinate_index, pair_sum_search
+from .search import _pair_sums, coordinate_index
 
 @record
 class CheckResult:
@@ -84,9 +88,17 @@ def _quadnum_from(record: dict) -> QuadNum:
 
 def _pair_count_check(data: dict, rec: LinearRecurrence,
                       problem: NormFormProblem, bound: int) -> CheckResult:
+    """The number of pair-search hits up to bound against the recorded counts.
+
+    It counts what search._pair_sums yields, over the terms and the index a
+    pair search reads, and builds no hit record and no report, so it runs
+    no hypothesis audit.
+    """
     search = data["pair_search"]
-    report = pair_sum_search(rec, problem, bound, search["coord_bound"])
-    count = len(report.hits)
+    coordbound = search["coord_bound"]
+    pairs = _pair_sums(terms_up_to(rec, bound), coordinate_index(problem, coordbound),
+                       coordbound)
+    count = sum(1 for _ in pairs)
     refs = {int(k): v for k, v in search["reference_counts"].items()}
     if bound in refs:
         return _check("pair hit count", count == refs[bound], refs[bound], count)

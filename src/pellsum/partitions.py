@@ -1,6 +1,12 @@
 """Set partitions in restricted-growth order, Bell numbers, the pairwise
 dependence analysis over every partition of a base tuple, and the
 `partitions` subcommand.
+
+The analysis decides each base pair once (_verdicts), which is where every
+refusal happens, and then reads one report per partition off those verdicts
+(_reports). The subcommand hands the writer its rows and its text lines as
+streams of those reports, so neither the 4,140 reports of eight bases nor
+their text lines are held at once.
 """
 
 from __future__ import annotations
@@ -75,16 +81,27 @@ def partition_analysis(bases, expbound: int) -> tuple[PartitionReport, ...]:
     """For every set partition of the base indices, certify in-block pairwise
     dependences or report independence up to expbound. Each base pair's
     verdict is computed once and read by every partition holding the pair."""
+    return tuple(_reports(len(bases), _verdicts(bases, expbound), expbound))
+
+
+def _verdicts(bases, expbound: int) -> dict:
+    """(i, j) -> the dependence verdict of bases i < j, 0-based. Every
+    refusal of a partition analysis is raised here: fewer than 2 bases, more
+    than 8, an exponent bound below 1 and a zero base."""
     n = len(bases)
     if n < 2:
         raise ValueError("need at least two bases")
     if n > 8:
         raise TooManyIndicesError(f"{n} bases means Bell({n}) partitions; capped at 8")
-    verdicts = {
+    return {
         (i, j): roots_multiplicatively_independent(bases[i], bases[j], expbound)
         for i, j in combinations(range(n), 2)
     }
-    reports = []
+
+
+def _reports(n: int, verdicts: dict, expbound: int) -> Iterator[PartitionReport]:
+    """One PartitionReport per set partition of n bases, in set_partitions'
+    order, read off the verdicts _verdicts computed; nothing here refuses."""
     for partition in set_partitions(n):
         witnesses = tuple(
             (i + 1, j + 1, verdicts[i, j].witness)
@@ -93,14 +110,9 @@ def partition_analysis(bases, expbound: int) -> tuple[PartitionReport, ...]:
             if verdicts[i, j].dependent
         )
         label = "certified-dependent" if witnesses else f"independent-up-to-{expbound}"
-        reports.append(
-            PartitionReport(
-                tuple(tuple(i + 1 for i in block) for block in partition),
-                witnesses,
-                label,
-            )
+        yield PartitionReport(
+            tuple(tuple(i + 1 for i in block) for block in partition), witnesses, label
         )
-    return tuple(reports)
 
 
 # -- subcommand handler (cli.main dispatches here) -----------------------------
@@ -139,11 +151,14 @@ def parse_base(text: str) -> Fraction | QuadNum:
 
 def _cmd_partitions(args):
     bases = [parse_base(part) for part in args.bases.split(",")]
-    reports = partition_analysis(bases, args.exp_bound)
+    n, expbound = len(bases), args.exp_bound
+    verdicts = _verdicts(bases, expbound)
+    bell = bell_number(n)
     results = {
-        "bell": bell_number(len(bases)),
-        "partition_count": len(reports),
-        "partitions": [
+        "bell": bell,
+        "partition_count": bell,
+        # one row at a time, as the writer pulls it
+        "partitions": (
             {
                 "blocks": report.blocks,
                 "verdict": report.verdict,
@@ -152,15 +167,16 @@ def _cmd_partitions(args):
                     for i, j, witness in report.witnesses
                 ],
             }
-            for report in reports
-        ],
+            for report in _reports(n, verdicts, expbound)
+        ),
     }
-    lines = [f"{len(reports)} partition(s) of {len(bases)} base(s)"]
-    for report in reports:
-        blocks = " | ".join("{" + ", ".join(map(str, b)) + "}" for b in report.blocks)
-        lines.append(f"  {blocks}: {report.verdict}")
-        for i, j, witness in report.witnesses:
-            lines.append(
-                f"    bases {i} and {j}: alpha^{witness[0]} * beta^{witness[1]} = 1"
-            )
-    return {"bases": [str(base) for base in bases]}, results, lines
+
+    def text():
+        yield f"{bell} partition(s) of {n} base(s)"
+        for report in _reports(n, verdicts, expbound):
+            blocks = " | ".join("{" + ", ".join(map(str, b)) + "}" for b in report.blocks)
+            yield f"  {blocks}: {report.verdict}"
+            for i, j, witness in report.witnesses:
+                yield f"    bases {i} and {j}: alpha^{witness[0]} * beta^{witness[1]} = 1"
+
+    return {"bases": [str(base) for base in bases]}, results, text()

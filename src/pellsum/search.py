@@ -14,7 +14,7 @@ import time
 from bisect import bisect_left, bisect_right
 from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from math import comb, prod
 
 from ._records import record
@@ -110,6 +110,32 @@ class SearchReport:
         return self.stabilization[0] == self.stabilization[1]
 
 
+def _pair_sums(terms: list[int], index, coordbound: int):
+    """Yield (n1, n2, U_{n1} + U_{n2}) for every n1 <= n2 < len(terms) whose
+    sum is a value of index[1] or index[2], ordered by (n1, n2).
+
+    The index holds values in [1, coordbound] only. With the indices sorted
+    by term once, a bisection picks for each n1 the n2 >= n1 with U_{n2} in
+    [1 - U_{n1}, coordbound - U_{n1}]; a row's hits are sorted by n2 before
+    they are yielded, so the stream holds one row at a time.
+    """
+    by_value = sorted(range(len(terms)), key=terms.__getitem__)
+    sorted_terms = [terms[n] for n in by_value]
+    x1_values, x2_values = index[1], index[2]
+    for n1, u1 in enumerate(terms):
+        lo = bisect_left(sorted_terms, 1 - u1)
+        hi = bisect_right(sorted_terms, coordbound - u1)
+        found = []
+        for n2 in by_value[lo:hi]:
+            if n2 >= n1:
+                s = u1 + terms[n2]
+                if s in x1_values or s in x2_values:
+                    found.append((n2, s))
+        found.sort()
+        for n2, s in found:
+            yield n1, n2, s
+
+
 def pair_sum_search(
     rec: LinearRecurrence,
     problem: NormFormProblem,
@@ -120,10 +146,8 @@ def pair_sum_search(
     materialized up to coordbound).
 
     Membership uses the nontrivial positive-value view of the coordinate
-    sets, which holds values in [1, coordbound] only. With the indices
-    sorted by term once, a bisection picks for each n1 the n2 >= n1 with
-    U_{n2} in [1 - U_{n1}, coordbound - U_{n1}]. Hits come out ordered by
-    (n1, n2).
+    sets, which holds values in [1, coordbound] only. The hits are those
+    _pair_sums yields, ordered by (n1, n2).
     """
     from .recurrences import audit_hypotheses, terms_up_to
 
@@ -132,29 +156,15 @@ def pair_sum_search(
     start = time.perf_counter()
     terms = terms_up_to(rec, nbound)
     index = coordinate_index(problem, coordbound)
-    by_value = sorted(range(nbound + 1), key=terms.__getitem__)
-    sorted_terms = [terms[n] for n in by_value]
-
     collected: list[PairHit] = []
-    x1_values, x2_values = index[1], index[2]
     # one memberships tuple per hit value, shared by every hit on it; misses
     # are not stored, so the table grows with the hits, not the candidates
     shared: dict[int, tuple] = {}
-    for n1 in range(nbound + 1):
-        u1 = terms[n1]
-        lo = bisect_left(sorted_terms, 1 - u1)
-        hi = bisect_right(sorted_terms, coordbound - u1)
-        found = []
-        for n2 in by_value[lo:hi]:
-            if n2 >= n1:
-                s = u1 + terms[n2]
-                if s not in x1_values and s not in x2_values:
-                    continue
-                hits_in = shared.get(s)
-                if hits_in is None:
-                    hits_in = shared[s] = _memberships(index, s)
-                found.append(PairHit(n1, n2, s, hits_in))
-        collected.extend(sorted(found, key=lambda h: h.n2))
+    for n1, n2, s in _pair_sums(terms, index, coordbound):
+        hits_in = shared.get(s)
+        if hits_in is None:
+            hits_in = shared[s] = _memberships(index, s)
+        collected.append(PairHit(n1, n2, s, hits_in))
 
     half = nbound // 2
     at_half = sum(1 for h in collected if h.n2 <= half)
@@ -303,7 +313,15 @@ def vanishing_pair_sums(
 ) -> list[tuple[int, int, tuple[int, ...]]]:
     """All (n1 <= n2 <= nbound, delta) with sum over i in delta of
     f_i*(alpha_i^{n1} + alpha_i^{n2}) exactly zero, ordered by (n1, n2) and
-    then delta as (1,), (2,), (1, 2).
+    then delta as (1,), (2,), (1, 2): the list of what _vanishing_hits'
+    stream yields.
+    """
+    return list(_vanishing_hits(rec, nbound)[1]())
+
+
+def _vanishing_hits(rec: LinearRecurrence, nbound: int):
+    """(count, hits): the number of vanishing_pair_sums' hits, and a function
+    whose every call starts a fresh stream of them, in their order.
 
     delta ranges over {1}, {2} (the per-root conditions) and {1, 2} (the
     full sum U_{n1} + U_{n2} = 0). With k = n2 - n1, the root-i part
@@ -313,8 +331,11 @@ def vanishing_pair_sums(
     The full sum vanishes where U_{n2} = -U_{n1}, found in a dict from each
     term value to its ascending indices. (0, 0) counts when U_0 = 0.
 
-    For each n1 the candidates are read off those progressions and index
-    lists, never tested pair by pair, so the time after the terms is about
+    Every refusal is raised here, before anything is yielded. The count is
+    read off those progressions' lengths and index lists without listing a
+    hit, so it takes O(N) time and memory after the terms; a stream holds
+    one row n1 at a time. A row's candidates are read off the progressions
+    and index lists, never tested pair by pair, so a stream's time is about
     O(N + hits). Each candidate n2 is coded as 3*n2 + kind, with kind 0, 1
     and 2 for delta (1,), (2,) and (1, 2), so that one integer sort merges a
     row's ascending runs in hit order.
@@ -337,19 +358,28 @@ def vanishing_pair_sums(
     where: dict[int, list[int]] = {}
     for n, u in enumerate(terms):
         where.setdefault(u, []).append(3 * n + 2)
-    decoded = [(n, delta) for n in range(nbound + 1) for delta in _DELTAS]  # code -> (n2, delta)
-    out = []
+    count = 0
     for n1, u1 in enumerate(terms):
-        row = [code for kind, s, r in rules for code in range(3 * (n1 + s) + kind, stop, 3 * r)]
+        count += sum(len(range(3 * (n1 + s) + kind, stop, 3 * r)) for kind, s, r in rules)
         cancel = where.get(-u1)
         if cancel:
-            row += cancel[bisect_left(cancel, 3 * n1):]
-        row.sort()
-        out += [(n1, *decoded[code]) for code in row]
-    return out
+            count += len(cancel) - bisect_left(cancel, 3 * n1)
+    decoded = [(n, delta) for n in range(nbound + 1) for delta in _DELTAS]  # code -> (n2, delta)
+
+    def hits():
+        for n1, u1 in enumerate(terms):
+            row = [code for kind, s, r in rules for code in range(3 * (n1 + s) + kind, stop, 3 * r)]
+            cancel = where.get(-u1)
+            if cancel:
+                row += cancel[bisect_left(cancel, 3 * n1):]
+            row.sort()
+            for code in row:
+                yield (n1, *decoded[code])
+
+    return count, hits
 
 
-# the delta of each kind a vanishing_pair_sums candidate is coded with
+# the delta of each kind a vanishing hit is coded with
 _DELTAS = ((1,), (2,), (1, 2))
 
 
@@ -550,21 +580,23 @@ def _cmd_vanishing(args):
     from .recurrences import LinearRecurrence, _rec_config
 
     rec = LinearRecurrence.from_literal(args.rec)
-    hits = vanishing_pair_sums(rec, args.n)
+    count, hits = _vanishing_hits(rec, args.n)
     results = {
-        "count": len(hits),
-        # the writer renders each row without building its dict
-        "hits": RecordTable(
-            ("delta", "n1", "n2"), ((delta, n1, n2) for n1, n2, delta in hits)
-        ),
+        "count": count,
+        # the writer renders each row as the stream yields it, without its dict
+        "hits": RecordTable(("delta", "n1", "n2"),
+                            ((delta, n1, n2) for n1, n2, delta in hits())),
     }
-    lines = [f"{len(hits)} vanishing subsum(s) with n1 <= n2 <= {args.n}"]
-    for n1, n2, delta in hits[:20]:
-        part = "full sum" if delta == (1, 2) else f"root {delta[0]} part"
-        lines.append(f"  (n1, n2) = ({n1}, {n2}), {part}")
-    if len(hits) > 20:
-        lines.append(f"  ... {len(hits) - 20} more")
-    return {"rec": _rec_config(rec)}, results, lines
+
+    def text():
+        yield f"{count} vanishing subsum(s) with n1 <= n2 <= {args.n}"
+        for n1, n2, delta in islice(hits(), 20):
+            part = "full sum" if delta == (1, 2) else f"root {delta[0]} part"
+            yield f"  (n1, n2) = ({n1}, {n2}), {part}"
+        if count > 20:
+            yield f"  ... {count - 20} more"
+
+    return {"rec": _rec_config(rec)}, results, text()
 
 
 def _cmd_bound(args):
